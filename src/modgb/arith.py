@@ -149,12 +149,22 @@ def rational_reconstruct(r, m):
 
 
 def random_prime(bits=31, rng=None):
-    """Uniformly sample a prime with the given bit length."""
+    """Uniformly sample an odd prime with the given bit length (at least 2)."""
+    if bits < 2:
+        raise ValueError("a prime needs at least 2 bits, got %s" % bits)
     rng = rng or random
     while True:
         n = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
         if is_prime(n):
             return n
+
+
+def unused_prime(bits, used):
+    """The smallest odd prime of the given bit length not in `used`, or None."""
+    for n in range((1 << (bits - 1)) | 1, 1 << bits, 2):
+        if n not in used and is_prime(n):
+            return n
+    return None
 
 
 def lcm(*values):

@@ -71,6 +71,18 @@ def _parse_primes(text):
     return primes
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
 def _budget():
     raw = os.environ.get("MGB_BUDGET")
     return int(raw) if raw else DEFAULT_BUDGET
@@ -330,8 +342,8 @@ def _build_parser():
     p = add("modular-gb", _cmd_modular_gb, help="modular pipeline with reconstruction")
     p.add_argument("--order")
     p.add_argument("--sigma")
-    p.add_argument("--prime-bits", type=int, default=31)
-    p.add_argument("--max-primes", type=int, default=64)
+    p.add_argument("--prime-bits", type=_int_at_least(2), default=31)
+    p.add_argument("--max-primes", type=_int_at_least(1), default=64)
     p.add_argument("--verify", choices=("cheap", "full"), default="cheap")
     p.add_argument("--seed", type=int)
 

@@ -2,10 +2,16 @@
 
 Power products are plain tuples of non-negative integer exponents.  Every
 ordering exposes a sort ``key`` such that sigma-greater power products get
-larger keys; all comparisons reduce to tuple comparison of keys.
+larger keys; all comparisons reduce to tuple comparison of keys.  A key is a
+flat tuple of Python ints, so negating it entrywise reverses the ordering.
+Matrix orderings keep their exact rational rows for display and identity, but
+compute keys from copies scaled to integers: each row is multiplied by the
+positive lcm of its denominators, which leaves the ordering unchanged.
 """
 
+import math
 from fractions import Fraction
+from operator import mul, neg
 
 LT, EQ, GT = -1, 0, 1
 
@@ -74,7 +80,7 @@ class DegLex(TermOrdering):
     kind = "deglex"
 
     def key(self, pp):
-        return (sum(pp), pp)
+        return (sum(pp),) + pp
 
     def canonical(self):
         return ("deglex", self.n)
@@ -86,7 +92,7 @@ class DegRevLex(TermOrdering):
     def key(self, pp):
         # degree first; ties broken so that the *last* nonzero entry of the
         # exponent difference being negative means "greater".
-        return (sum(pp), tuple(-e for e in reversed(pp)))
+        return (sum(pp), *map(neg, reversed(pp)))
 
     def canonical(self):
         return ("degrevlex", self.n)
@@ -110,6 +116,7 @@ class MatrixOrder(TermOrdering):
         if any(len(row) != n for row in rows):
             raise ValueError("matrix ordering rows must all have length %d" % n)
         self.rows = rows
+        self._int_rows = tuple(_integer_row(row) for row in rows)
         self._key_cache = {}
         self._validate()
 
@@ -125,12 +132,17 @@ class MatrixOrder(TermOrdering):
     def key(self, pp):
         k = self._key_cache.get(pp)
         if k is None:
-            k = tuple(sum(w * e for w, e in zip(row, pp) if e) for row in self.rows)
-            self._key_cache[pp] = k
+            k = self._key_cache[pp] = tuple([sum(map(mul, row, pp)) for row in self._int_rows])
         return k
 
     def canonical(self):
         return ("matrix", self.n, self.rows)
+
+
+def _integer_row(row):
+    """The row scaled by the positive lcm of its denominators."""
+    d = math.lcm(*(w.denominator for w in row))
+    return tuple(int(w * d) for w in row)
 
 
 def _rank(rows):

@@ -9,7 +9,7 @@ so only holders of the best tuple seen so far contribute to the lift.
 import random
 import time
 
-from .arith import crt_pair, random_prime, rational_reconstruct
+from .arith import crt_pair, random_prime, rational_reconstruct, unused_prime
 from .gb_field import ReducedGB, is_groebner, normal_form
 from .orderings import degrevlex
 from .poly import BadPrimeForInput, PolyRing, QQ, leading, pp_divides
@@ -117,13 +117,17 @@ def lift_and_reconstruct(kept, I, tau):
     return polys
 
 
-def verify_candidate(candidate, I, tau, full=False):
+def verify_candidate(candidate, I, tau, full=False, sigma=None):
     """Check that the candidate is the reduced tau-basis of the ideal of I.
 
     Cheap checks: the candidate is monic and self-reduced, every input
-    generator reduces to zero against it, and no S-polynomial survives
-    reduction.  With full=True the candidate is also compared against a
-    directly computed rational basis.
+    generator reduces to zero against it, no S-polynomial survives
+    reduction, and every candidate element reduces to zero against the
+    reduced sigma-basis of I (sigma defaults to degrevlex; the pipeline's
+    per-prime runs have already cached that basis on I).  The first three
+    give I inside the candidate's ideal, the last the reverse.  With
+    full=True the candidate is also compared against a directly computed
+    rational tau-basis.
     """
     if not candidate:
         return not I.gens
@@ -146,6 +150,11 @@ def verify_candidate(candidate, I, tau, full=False):
         if not normal_form(f, candidate, tau).is_zero():
             return False
     if not is_groebner(candidate, tau):
+        return False
+    if sigma is None:
+        sigma = degrevlex(I.ring.n)
+    G = I.reduced_gb(sigma)
+    if any(not normal_form(g, G, sigma).is_zero() for g in candidate):
         return False
     if full:
         direct = I.reduced_gb(tau)
@@ -189,6 +198,10 @@ def modular_gb(
     committed tuple has three supporters and after every second prime
     thereafter; success requires verify_candidate.
     """
+    if prime_bits < 2:
+        raise ValueError("prime_bits must be at least 2, got %s" % prime_bits)
+    if max_primes < 1:
+        raise ValueError("max_primes must be at least 1, got %s" % max_primes)
     start = time.monotonic()
     if sigma is None:
         sigma = degrevlex(I.ring.n)
@@ -204,7 +217,13 @@ def modular_gb(
     while attempts < max_primes:
         p = random_prime(prime_bits, rng)
         if p in tried:
-            continue
+            # a repeat: take the smallest unused prime, so every draw counts
+            p = unused_prime(prime_bits, tried)
+            if p is None:
+                raise RuntimeError(
+                    "all %d odd primes of %d bits are used up; "
+                    "no verified basis after %d primes" % (len(tried), prime_bits, attempts)
+                )
         tried.add(p)
         attempts += 1
         try:
@@ -232,7 +251,9 @@ def modular_gb(
                 kept = [run]
         if len(kept) >= 3 and (len(kept) - 3) % 2 == 0:
             candidate = lift_and_reconstruct(kept, I, tau)
-            if candidate is not None and verify_candidate(candidate, I, tau, full_verify):
+            if candidate is not None and verify_candidate(
+                candidate, I, tau, full_verify, sigma
+            ):
                 candidate.sort(key=lambda g: tau.key(leading(g, tau)[0]))
                 basis = ReducedGB(tau, candidate)
                 return ModularGBResult(

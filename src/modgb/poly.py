@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from operator import add, le
 
 from .arith import lcm as int_lcm
 from .arith import is_prime
@@ -168,7 +169,7 @@ class PolyRing:
 
 
 def pp_mul(t, s):
-    return tuple(a + b for a, b in zip(t, s))
+    return tuple(map(add, t, s))
 
 
 def pp_div(t, s):
@@ -182,11 +183,11 @@ def pp_div(t, s):
 
 
 def pp_divides(s, t):
-    return all(a <= b for a, b in zip(s, t))
+    return all(map(le, s, t))
 
 
 def pp_lcm(t, s):
-    return tuple(max(a, b) for a, b in zip(t, s))
+    return tuple(map(max, t, s))
 
 
 class Polynomial:

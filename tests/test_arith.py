@@ -14,6 +14,7 @@ from modgb.arith import (
     mod_inverse,
     rad,
     random_prime,
+    unused_prime,
     rational_reconstruct,
 )
 
@@ -135,6 +136,19 @@ def test_random_prime():
         p = random_prime(31, rng)
         assert is_prime(p)
         assert p.bit_length() == 31
+
+
+def test_random_prime_rejects_fewer_than_two_bits():
+    for bits in (1, 0, -3):
+        with pytest.raises(ValueError):
+            random_prime(bits, random.Random(1))
+
+
+def test_unused_prime():
+    assert unused_prime(2, set()) == 3
+    assert unused_prime(2, {3}) is None
+    assert unused_prime(5, {17, 19}) == 23
+    assert unused_prime(5, {17, 19, 23, 29, 31}) is None
 
 
 def test_lcm():

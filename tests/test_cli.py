@@ -152,6 +152,22 @@ def test_modular_gb(write, capsys):
     assert out.splitlines()[0] == "[x - 1/4*z, y - 1/2*z]"
 
 
+def test_modular_gb_exhausted_primes_exit_1(write, capsys):
+    code, _, err = run(
+        capsys, "modular-gb", "--order", "lex", "--prime-bits", "3", "--seed", "1",
+        write(MANYBAD % "x^2*y + 7*x*y^2 - 2, y^3 + x^2*z, z^3 + x^2 - y"),
+    )
+    assert code == 1
+    assert "used up" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--prime-bits", "1"), ("--max-primes", "0")])
+def test_modular_gb_rejects_bad_budget(write, capsys, flag, value):
+    code, _, err = run(capsys, "modular-gb", flag, value, write(DOUBLING))
+    assert code == 2
+    assert "must be at least" in err
+
+
 def test_parse_error_exits_1(write, capsys):
     code, _, err = run(capsys, "gb", write("ring QQ[x lex; ideal(x);"))
     assert code == 1

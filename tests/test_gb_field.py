@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pair_of_linear_gens, rand_ideal, ring_qq
+from conftest import (
+    graph_ideal_six_vars,
+    many_bad_primes_ideal,
+    pair_of_linear_gens,
+    rand_ideal,
+    ring_qq,
+    twelve_cone_ideal,
+)
 from modgb import (
     BudgetExceeded,
     GF,
@@ -22,7 +29,10 @@ from modgb import (
     represent,
     s_polynomial,
 )
+from modgb import fan
+from modgb.gb_field import _Counter
 from modgb.orderings import degrevlex, lex
+from modgb.primes import reduction
 
 
 def test_reduced_gb_linear_pair():
@@ -180,3 +190,40 @@ def test_represent_rejects_non_member():
     x, y = R.gens()
     with pytest.raises(ValueError):
         represent([x + R.one()], [x * x, y], degrevlex(2))
+
+
+# The reduction-step counts below pin the reducer-selection rule: head
+# reduction in buchberger takes the first-inserted divisor, normal forms the
+# sigma-smallest one (ties by position).  A change of rule changes them.
+
+_UNSPENT = 10**9
+
+
+def _steps(gens, sigma):
+    counter = _Counter(_UNSPENT)
+    buchberger_reduced(gens, sigma, counter=counter)
+    return _UNSPENT - counter.left
+
+
+def test_reduction_steps_graph_ideal_elim():
+    R, J, sigma, tau = graph_ideal_six_vars()
+    assert _steps(reduction(J, sigma, 7).ideal.gens, tau) == 4420
+
+
+def test_reduction_steps_many_bad_primes_lex():
+    R, I = many_bad_primes_ideal()
+    assert _steps(reduction(I, degrevlex(3), 1000003).ideal.gens, lex(3)) == 4248
+
+
+def test_reduction_steps_fan(monkeypatch):
+    made = []
+
+    class Recording(_Counter):
+        def __init__(self, budget):
+            super().__init__(budget)
+            made.append(self)
+
+    monkeypatch.setattr(fan, "_Counter", Recording)
+    R, I = twelve_cone_ideal()
+    assert len(fan.enumerate_fan(I)) == 12
+    assert [fan.DEFAULT_BUDGET - c.left for c in made] == [619]

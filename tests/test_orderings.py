@@ -1,9 +1,11 @@
 """Term orderings: comparisons, validation, elimination and matrix forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from modgb.fan import _flip_ordering
 from modgb.orderings import deglex, degrevlex, elim, lex, matrix_order
 
 
@@ -137,3 +139,44 @@ def test_sorted_and_extrema():
     assert s.sorted(pps) == [(0, 0), (0, 1), (1, 0)]
     assert s.max(pps) == (1, 0)
     assert s.min(pps) == (0, 0)
+
+
+def test_keys_are_flat_int_tuples():
+    rng = random.Random(7)
+    orders = [lex(3), deglex(3), degrevlex(3), elim([1], 3), elim([0, 2], 3),
+              matrix_order([["1/2", "1/3", 2], [0, "-3/4", 1], [0, 0, 1]], 3),
+              _flip_ordering([1, 2, 3], [1, -1, 0], 3)]
+    for o in orders:
+        for _ in range(20):
+            k = o.key(tuple(rng.randint(0, 6) for _ in range(3)))
+            assert isinstance(k, tuple)
+            assert all(type(x) is int for x in k)
+
+
+def _random_rows(rng, n):
+    """Weight rows with fractional and negative entries that form a term order."""
+    def weight(low):
+        return Fraction(rng.randint(low, 9), rng.choice((1, 2, 3, 7, 12)))
+
+    while True:
+        rows = [[weight(1) for _ in range(n)]]
+        rows += [[weight(-9) for _ in range(n)] for _ in range(n - 1)]
+        try:
+            return rows, matrix_order(rows, n)
+        except ValueError:
+            continue
+
+
+def test_matrix_keys_order_as_fraction_rows():
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows, m = _random_rows(rng, n)
+        assert m.rows == tuple(tuple(row) for row in rows)
+        for _ in range(50):
+            a = tuple(rng.randint(0, 7) for _ in range(n))
+            b = tuple(rng.randint(0, 7) for _ in range(n))
+            ka = tuple(sum(w * e for w, e in zip(row, a)) for row in rows)
+            kb = tuple(sum(w * e for w, e in zip(row, b)) for row in rows)
+            assert (m.key(a) > m.key(b)) == (ka > kb)
+            assert (m.key(a) == m.key(b)) == (ka == kb)

@@ -1,6 +1,7 @@
 """Modular basis pipeline: runs, filtering, lifting, verification."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     many_bad_primes_ideal,
     rand_ideal,
     ring_qq,
+    twelve_cone_ideal,
 )
 from modgb import Ideal, modular_gb
 from modgb.orderings import degrevlex, lex
@@ -112,6 +114,51 @@ def test_verify_candidate_rejects_perturbation():
     assert not verify_candidate([G[0].scale(2), G[1]], I, t)  # not monic
     assert not verify_candidate([G[0]], I, t)  # generators do not reduce
     assert verify_candidate([], Ideal(R, []), t)
+
+
+def test_verify_candidate_checks_both_containments():
+    R, I = twelve_cone_ideal()
+    t = lex(3)
+    assert verify_candidate(list(I.reduced_gb(t)), I, t)
+    # too large: the unit ideal contains I but is not I
+    assert not verify_candidate([R.one()], I, t)
+    assert not verify_candidate([R.one()], I, t, sigma=lex(3))
+    # too small: a reduced basis of a proper subideal
+    smaller = list(Ideal(R, I.gens[:2]).reduced_gb(t))
+    assert not verify_candidate(smaller, I, t)
+
+
+def test_verify_candidate_rejects_random_wrong_ideals():
+    rng = random.Random(21)
+    for _ in range(10):
+        ring, I = rand_ideal(rng, maxvars=3, maxdeg=3, maxgens=2)
+        t = lex(ring.n)
+        G = list(I.reduced_gb(t))
+        if G == [ring.one()]:
+            continue
+        assert verify_candidate(G, I, t)
+        assert not verify_candidate([ring.one()], I, t)
+        # the ideal of one generator times a fresh-degree factor is smaller
+        x = ring.gens()[0]
+        smaller = list(Ideal(ring, [f * x for f in I.gens]).reduced_gb(t))
+        assert not verify_candidate(smaller, I, t)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4, 5])
+def test_modular_gb_raises_when_primes_run_out(bits):
+    R, I = many_bad_primes_ideal()
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="used up"):
+        modular_gb(I, lex(3), prime_bits=bits, rng=random.Random(bits))
+    assert time.monotonic() - start < 10.0
+
+
+def test_modular_gb_validates_its_budget():
+    R, I = chained_doubling_ideal()
+    with pytest.raises(ValueError):
+        modular_gb(I, lex(3), prime_bits=1)
+    with pytest.raises(ValueError):
+        modular_gb(I, lex(3), max_primes=0)
 
 
 def test_modular_gb_matches_direct_computation():
