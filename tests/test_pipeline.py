@@ -138,7 +138,7 @@ def test_verify_candidate_rejects_random_wrong_ideals():
             continue
         assert verify_candidate(G, I, t)
         assert not verify_candidate([ring.one()], I, t)
-        # the ideal of one generator times a fresh-degree factor is smaller
+        # x * I is a proper subideal of I
         x = ring.gens()[0]
         smaller = list(Ideal(ring, [f * x for f in I.gens]).reduced_gb(t))
         assert not verify_candidate(smaller, I, t)
