@@ -371,7 +371,7 @@ def _divide_tracked(f, rep, items, sigma):
     for pos, q in quotients.items():
         q = Polynomial(ring, {t: c for t, c in q.items() if c})
         rep = [x - q * y for x, y in zip(rep, items[pos][1])]
-    return Polynomial(ring, r), list(rep)
+    return Polynomial(ring, r), rep
 
 
 def represent(G, F, sigma):
