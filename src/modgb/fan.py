@@ -267,14 +267,12 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     return Fan(I, cones, adjacency)
 
 
-_FAN_CACHE = {}
-
-
 def _cached_fan(I, max_cones, budget):
-    key = (I.ring, tuple(I.gens))
-    fan = _FAN_CACHE.get(key)
+    """The fan of I, memoized on I per (max_cones, budget)."""
+    key = (max_cones, budget)
+    fan = I._fan_cache.get(key)
     if fan is None:
-        fan = _FAN_CACHE[key] = enumerate_fan(I, max_cones, budget)
+        fan = I._fan_cache[key] = enumerate_fan(I, max_cones, budget)
     return fan
 
 

@@ -3,15 +3,34 @@
 Completion uses both S-polynomials (cancelling leading monomials through the
 lcm of the leading terms and of the leading coefficients) and GCD-polynomials
 (combining two elements to realize the gcd of their leading coefficients).
+Pairs are pruned by criteria that hold over ZZ (Kandri-Rody and Kapur, JSC
+1988; Lichtblau, "Effective computation of strong Groebner bases over
+Euclidean domains", 2012):
+
+- an S-pair by the product criterion, when both the leading terms and the
+  leading coefficients are coprime;
+- an S-pair (i, j) by the chain criterion, when a third element's leading
+  monomial divides lcm(lc_i, lc_j) * lcm(lt_i, lt_j) and neither of its
+  S-pairs with i and j is still queued;
+- a GCD-pair when some element's leading monomial already divides
+  gcd(lc_i, lc_j) * lcm(lt_i, lt_j).
+
+Reduction runs in place on gb_field's heap-ordered work polynomial.  The
+head is reduced by exact (strong) steps; every other term by a Euclidean
+step, which leaves its coefficient a symmetric remainder modulo the smallest
+applicable leading coefficient and so keeps the integers small.
+
 Only the set of leading monomials and the lcm of the leading coefficients are
 canonical; the full basis is normalized deterministically but not unique.
 """
 
 import heapq
 import math
+from operator import le, sub
 
 from .arith import _ext_gcd
 from .arith import lcm as int_lcm
+from .gb_field import _Work
 from .poly import Polynomial, ZZ, leading, pp_div, pp_divides, pp_lcm, pp_mul
 
 
@@ -45,118 +64,143 @@ def _lm_divides(lt1, lc1, lt2, lc2):
     return pp_divides(lt1, lt2) and lc2 % lc1 == 0
 
 
-def _strong_head_reduce(f, basis, sigma):
-    """Reduce the head of f while some basis leading monomial divides it."""
-    key = sigma.key
-    while not f.is_zero():
-        t = max(f.terms, key=key)
-        c = f.terms[t]
-        hit = None
+def _strong_head_reduce(work, basis):
+    """Reduce the head of a _Work in place while some basis entry (g, lt, lc)
+    has lt | t and lc | c, taking the first such entry.
+
+    Returns the irreducible head term, left in work.terms but off the heap,
+    or None when the work reduced to zero.
+    """
+    terms, heap = work.terms, work.heap
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = terms.get(t)
+        if c is None:
+            continue
         for g, lt, lc in basis:
-            if pp_divides(lt, t) and c % lc == 0:
-                hit = (g, lt, lc)
+            if all(map(le, lt, t)) and c % lc == 0:
                 break
-        if hit is None:
-            return f
-        g, lt, lc = hit
-        f = f - g.mul_term(pp_div(t, lt), c // lc)
-    return f
+        else:
+            while heap and heap[0][1] == t:  # duplicates of the head
+                heapq.heappop(heap)
+            return t
+        # subtracting the whole of g, leading term included, cancels t
+        work.sub(c // lc, tuple(map(sub, t, lt)), g.terms.items())
+    return None
 
 
-def _tail_reduce(f, others, sigma):
-    """Reduce the non-leading terms of f as far as exact ZZ-division allows."""
-    key = sigma.key
-    head = max(f.terms, key=key)
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(f.terms, key=key, reverse=True):
-            if t == head or t not in f.terms:
-                continue
-            c = f.terms[t]
-            for g, lt, lc in others:
-                if pp_divides(lt, t) and c % lc == 0:
-                    f = f - g.mul_term(pp_div(t, lt), c // lc)
-                    changed = True
-                    break
-            if changed:
-                break
-    return f
+def _tail_reduce(work, basis):
+    """Reduce every term left on a _Work's heap by one Euclidean step, in place.
 
-
-def _s_poly(f, ltf, lcf, g, ltg, lcg):
-    l = pp_lcm(ltf, ltg)
-    c = int_lcm(lcf, lcg)
-    return f.mul_term(pp_div(l, ltf), c // lcf) - g.mul_term(pp_div(l, ltg), c // lcg)
-
-
-def _g_poly(f, ltf, lcf, g, ltg, lcg):
-    """Combination with leading monomial gcd(lcf, lcg) * lcm(ltf, ltg)."""
-    l = pp_lcm(ltf, ltg)
-    _, a, b = _ext_gcd(lcf, lcg)
-    return f.mul_term(pp_div(l, ltf), a) + g.mul_term(pp_div(l, ltg), b)
+    The coefficient c of a term t becomes its symmetric remainder modulo lc,
+    for the basis entry (g, lt, lc) with lt | t and the smallest lc, ties
+    broken by position.  Returns the term dict.
+    """
+    terms, heap = work.terms, work.heap
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = terms.get(t)
+        if c is None:
+            continue
+        best = None
+        for e in basis:
+            if (best is None or e[2] < best[2]) and all(map(le, e[1], t)):
+                best = e
+        if best is None:
+            continue
+        g, lt, lc = best
+        r = c % lc
+        if 2 * r > lc:
+            r -= lc
+        if r != c:
+            work.sub((c - r) // lc, tuple(map(sub, t, lt)), g.terms.items())
+    return terms
 
 
 def strong_gb(gens, sigma):
     """A minimal strong sigma-Groebner basis of the ideal generated in ZZ[x]."""
     if any(g.ring.domain is not ZZ for g in gens):
         raise ValueError("strong_gb needs integer coefficients")
-    basis = []  # entries (poly, lt, lc) with lc > 0
-    heap = []  # (key of pp-lcm, kind, i, j); kind 0 = S-poly, 1 = GCD-poly
-    key = sigma.key
-
-    def normalize(f):
-        lt, lc = leading(f, sigma)
-        if lc < 0:
-            f, lc = -f, -lc
-        return f, lt, lc
-
-    def append(f):
-        f = _tail_reduce(f, basis, sigma)
-        entry = normalize(f)
-        j = len(basis)
-        _, ltg, lcg = entry
-        for i in range(j):
-            _, ltf, lcf = basis[i]
-            l = key(pp_lcm(ltf, ltg))
-            heapq.heappush(heap, (l, 0, i, j))
-            d = math.gcd(lcf, lcg)
-            if d != lcf and d != lcg:
-                heapq.heappush(heap, (l, 1, i, j))
-        basis.append(entry)
-
     todo = [g for g in gens if not g.is_zero()]
     if not todo:
         return StrongGB(sigma, [])
+    ring = todo[0].ring
+    key = sigma.key
+    basis = []  # entries (poly, lt, lc) with lc > 0
+    heap = []  # (key of pp-lcm, kind, i, j); kind 0 = S-pair, 1 = GCD-pair
+    queued = set()  # the S-pairs still on the heap
+
+    def append(work, lt):
+        terms = _tail_reduce(work, basis)
+        if terms[lt] < 0:
+            terms = {t: -c for t, c in terms.items()}
+        lc = terms[lt]
+        j = len(basis)
+        for i, (_, lti, lci) in enumerate(basis):
+            l = pp_lcm(lti, lt)
+            d = math.gcd(lci, lc)
+            if d != 1 or l != pp_mul(lti, lt):  # else the product criterion holds
+                heapq.heappush(heap, (key(l), 0, i, j))
+                queued.add((i, j))
+            if d != lci and d != lc:
+                heapq.heappush(heap, (key(l), 1, i, j))
+        basis.append((Polynomial(ring, terms), lt, lc))
+
+    def chained(i, j, l, c):
+        for k, (_, ltk, lck) in enumerate(basis):
+            if (
+                k != i
+                and k != j
+                and c % lck == 0
+                and all(map(le, ltk, l))
+                and (min(i, k), max(i, k)) not in queued
+                and (min(j, k), max(j, k)) not in queued
+            ):
+                return True
+        return False
+
     for g in todo:
-        append(g)
+        work = _Work(dict(g.terms), key, 0)
+        append(work, heapq.heappop(work.heap)[1])
     while heap:
         _, kind, i, j = heapq.heappop(heap)
-        f, ltf, lcf = basis[i]
-        g, ltg, lcg = basis[j]
-        make = _s_poly if kind == 0 else _g_poly
-        h = _strong_head_reduce(make(f, ltf, lcf, g, ltg, lcg), basis, sigma)
-        if not h.is_zero():
-            append(h)
+        f, lti, lci = basis[i]
+        g, ltj, lcj = basis[j]
+        l = pp_lcm(lti, ltj)
+        if kind == 0:
+            queued.discard((i, j))
+            c = int_lcm(lci, lcj)
+            if chained(i, j, l, c):
+                continue
+            a, b = c // lci, c // lcj  # a*f - b*g
+        else:
+            d, a, b = _ext_gcd(lci, lcj)
+            if any(d % lck == 0 and all(map(le, ltk, l)) for _, ltk, lck in basis):
+                continue
+            b = -b  # a*f + b*g
+        sh = pp_div(l, lti)
+        work = _Work({pp_mul(t, sh): a * v for t, v in f.terms.items()}, key, 0)
+        work.sub(b, pp_div(l, ltj), g.terms.items())
+        head = _strong_head_reduce(work, basis)
+        if head is not None:
+            append(work, head)
     return StrongGB(sigma, _normalize_output(basis, sigma))
 
 
 def _normalize_output(basis, sigma):
     """Minimalize by leading-monomial divisibility, then tail-reduce."""
     key = sigma.key
-    order = sorted(range(len(basis)), key=lambda i: (key(basis[i][1]), basis[i][2]))
     kept = []
-    for i in order:
-        g, lt, lc = basis[i]
-        if any(_lm_divides(klt, klc, lt, lc) for _, klt, klc in kept):
-            continue
-        kept.append((g, lt, lc))
+    for g, lt, lc in sorted(basis, key=lambda e: (key(e[1]), e[2])):
+        if not any(_lm_divides(klt, klc, lt, lc) for _, klt, klc in kept):
+            kept.append((g, lt, lc))
     out = []
-    for i, (g, lt, lc) in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        g = _tail_reduce(g, others, sigma)
-        out.append(g)
-    out.sort(key=lambda g: key(leading(g, sigma)[0]))
+    # an element's own leading term divides none of its tail terms, so each
+    # is tail-reduced against all of kept
+    for g, _, _ in kept:
+        work = _Work(dict(g.terms), key, 0)
+        heapq.heappop(work.heap)
+        out.append(Polynomial(g.ring, _tail_reduce(work, kept)))
     return out
 
 

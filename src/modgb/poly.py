@@ -222,10 +222,12 @@ class Polynomial:
         return self._hash
 
     def __add__(self, other):
-        zero = self.ring.domain.zero
+        zero, p = self.ring.domain.zero, self.ring.domain.characteristic
         d = dict(self.terms)
         for pp, c in other.terms.items():
             c2 = d.get(pp, zero) + c
+            if p:
+                c2 %= p
             if c2 == zero:
                 d.pop(pp, None)
             else:
@@ -233,18 +235,23 @@ class Polynomial:
         return Polynomial(self.ring, d)
 
     def __neg__(self):
+        p = self.ring.domain.characteristic
+        if p:
+            return Polynomial(self.ring, {pp: -c % p for pp, c in self.terms.items()})
         return Polynomial(self.ring, {pp: -c for pp, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        zero = self.ring.domain.zero
+        zero, p = self.ring.domain.zero, self.ring.domain.characteristic
         d = {}
         for pp1, c1 in self.terms.items():
             for pp2, c2 in other.terms.items():
                 pp = pp_mul(pp1, pp2)
                 c = d.get(pp, zero) + c1 * c2
+                if p:
+                    c %= p
                 if c == zero:
                     d.pop(pp, None)
                 else:
@@ -369,7 +376,12 @@ def reduce_mod_p(f, p):
 
 
 class Ideal:
-    """An ideal given by generators; caches reduced Groebner bases per ordering."""
+    """An ideal given by generators.
+
+    It caches what is computed from it: reduced Groebner bases per ordering,
+    its Groebner fan per traversal budget (fan._cached_fan) and its reduction
+    tuples (primes.reduction_tuple).  The caches live and die with the ideal.
+    """
 
     def __init__(self, ring, gens):
         gens = [g for g in gens if not g.is_zero()]
@@ -378,6 +390,8 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._gb_cache = {}
+        self._fan_cache = {}
+        self._tuple_cache = {}
 
     def reduced_gb(self, sigma):
         """Reduced sigma-Groebner basis (memoized; the expensive step)."""

@@ -89,16 +89,15 @@ def pauer_lucky(F, sigma, p):
     return PrimeVerdict(p, PAUER_LUCKY, {"lcm_of_leading_coeffs": lcm_sigma(B)})
 
 
-def reduction_tuple(I, sigma, tau, p, _cache={}):
-    """O_tau of the (p, sigma)-reduction of I, computed purely modulo p."""
+def reduction_tuple(I, sigma, tau, p):
+    """O_tau of the (p, sigma)-reduction of I, computed purely modulo p
+    (memoized on I)."""
     from .tuples import os_of_ideal
 
-    key = (I.ring, tuple(I.gens), p, sigma.canonical(), tau.canonical())
-    if key in _cache:
-        return _cache[key]
-    red = reduction(I, sigma, p)
-    t = os_of_ideal(red.ideal, tau)
-    _cache[key] = t
+    key = (p, sigma.canonical(), tau.canonical())
+    t = I._tuple_cache.get(key)
+    if t is None:
+        t = I._tuple_cache[key] = os_of_ideal(reduction(I, sigma, p).ideal, tau)
     return t
 
 

@@ -1,5 +1,6 @@
 """Shared builders for the worked examples used across the test suite."""
 
+import time
 from fractions import Fraction
 
 from modgb import GF, Ideal, PolyRing, QQ, ZZ
@@ -104,3 +105,18 @@ def rand_ideal(rng, maxvars=3, maxdeg=4, maxgens=3, names=("x", "y", "z")):
             if not f.is_zero()
         ]
     return ring, Ideal(ring, gens)
+
+
+def timed(bound):
+    """Context manager asserting the wrapped block finishes within bound seconds."""
+
+    class _T:
+        def __enter__(self):
+            self.t0 = time.monotonic()
+            return self
+
+        def __exit__(self, *exc):
+            if exc[0] is None:
+                assert time.monotonic() - self.t0 < bound
+
+    return _T()

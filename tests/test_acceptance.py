@@ -1,7 +1,6 @@
 """Acceptance gate: the end-to-end behavior contract, with timing bounds."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from conftest import (
     mixed_denominator_ideal,
     pair_of_linear_gens,
     ring_qq,
+    timed,
     twelve_cone_ideal,
 )
 from modgb import (
@@ -46,21 +46,6 @@ from modgb.primes import (
     reduction_tuple,
 )
 from modgb.tuples import LtTuple, PRECEDES, precedes
-
-
-def timed(bound):
-    """Context manager asserting the wrapped block finishes within bound seconds."""
-
-    class _T:
-        def __enter__(self):
-            self.t0 = time.monotonic()
-            return self
-
-        def __exit__(self, *exc):
-            if exc[0] is None:
-                assert time.monotonic() - self.t0 < bound
-
-    return _T()
 
 
 def _strings(basis, order):
@@ -237,7 +222,7 @@ def test_criterion_7_fan():
 def test_criterion_8_property_suites():
     import prop_suites
 
-    with timed(15 * 60.0):
+    with timed(120.0):
         for suite in prop_suites.ALL_SUITES:
             suite(count=200)
 

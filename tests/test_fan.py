@@ -124,6 +124,18 @@ def test_cone_budget_raises_with_partial_progress():
     assert len(exc.value.fan) == 3
 
 
+def test_cached_fan_honours_the_cone_budget():
+    # neither the fan of an equal ideal nor that of the same ideal under a
+    # larger budget may stand in for a traversal limited to one cone
+    R, I = twelve_cone_ideal()
+    assert universal_denominator(I) == 28
+    _, I2 = twelve_cone_ideal()
+    for J in (I2, I):
+        with pytest.raises(FanBudgetExceeded):
+            universal_denominator(J, max_cones=1)
+    assert universal_denominator(I2) == 28
+
+
 def test_zero_ideal_rejected_for_delta():
     R = ring_qq("x")
     with pytest.raises(ValueError):

@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_ideal, ring_qq, ring_zz
-from modgb import leading, leading_monomial_set, lcm_sigma, prim, strong_gb
+from conftest import rand_ideal, ring_qq, ring_zz, timed
+from modgb import (
+    check_rad_identity,
+    leading,
+    leading_monomial_set,
+    lcm_sigma,
+    parse_input,
+    prim,
+    strong_gb,
+)
+from modgb.gb_field import _Work
 from modgb.gb_integer import _lm_divides, _strong_head_reduce
 from modgb.orderings import degrevlex, lex
 from modgb.poly import leading as lead
@@ -68,7 +77,7 @@ def test_strong_reduction_of_members():
         for g in gens:
             m = rand_multiplier(rng, zring)
             acc = acc + g * m
-        assert _strong_head_reduce(acc, entries, s).is_zero()
+        assert _strong_head_reduce(_Work(dict(acc.terms), s.key, 0), entries) is None
 
 
 def rand_multiplier(rng, ring):
@@ -91,6 +100,14 @@ def test_minimality_no_internal_lm_divisibility():
             for j, (lt2, lc2) in enumerate(lms):
                 if i != j:
                     assert not _lm_divides(lt1, lc1, lt2, abs(lc2))
+        # Euclidean tail reduction: no tail coefficient exceeds half the
+        # leading coefficient of an element whose leading term divides it
+        for g, (lt, _) in zip(B, lms):
+            for t, c in g.terms.items():
+                if t != lt:
+                    for lt2, lc2 in lms:
+                        if all(a <= b for a, b in zip(lt2, t)):
+                            assert 2 * abs(c) <= abs(lc2)
 
 
 def test_rejects_rational_input():
@@ -107,3 +124,59 @@ def test_lcm_sigma_forms():
         lcm_sigma([x], None)
     with pytest.raises(ValueError):
         lcm_sigma([Z.zero()], lex(1))
+
+
+# The many-bad-primes family <x^2 y + a x y^2 - b, y^3 + c x^2 z, z^3 + x^2 - y>
+# under lex, and the invariants of the strong basis of its prim reduced basis:
+# leading monomial set and lcm_sigma.
+FAMILY = "ring QQ[x,y,z] lex;\nideal(x^2*y + {a}*x*y^2 - {b}, y^3 + {c}*x^2*z, z^3 + x^2 - y);\n"
+FAMILY_STRONG = {
+    (7, 2, 1): (25235136784297846670562386589077523176205344972795220550116456363443132576, {
+        ((0, 0, 26), 1),
+        ((0, 1, 0), 1802509770306989047897313327791251655443238926628230039294032597388795184),
+        ((0, 1, 25), 450627442576747261974328331947812913860809731657057509823508149347198796),
+        ((0, 2, 24), 901254885153494523948656663895625827721619463314115019647016298694397592),
+        ((1, 0, 0), 25235136784297846670562386589077523176205344972795220550116456363443132576),
+        ((1, 0, 24), 1577196049018615416910149161817345198512834060799701284382278522715195786),
+        ((1, 0, 25), 14),
+        ((1, 1, 24), 225313721288373630987164165973906456930404865828528754911754074673599398),
+        ((1, 1, 25), 2),
+    }),
+    (2, 2, 1): (95985975189377280442696496150343616, {
+        ((0, 0, 26), 1),
+        ((0, 1, 0), 95985975189377280442696496150343616),
+        ((0, 1, 14), 47992987594688640221348248075171808),
+        ((0, 1, 19), 23996493797344320110674124037585904),
+        ((0, 1, 25), 5999123449336080027668531009396476),
+        ((1, 0, 0), 47992987594688640221348248075171808),
+        ((1, 0, 24), 1499780862334020006917132752349119),
+        ((1, 0, 25), 1),
+        ((1, 1, 18), 23996493797344320110674124037585904),
+    }),
+}
+
+
+def test_family_strong_bases_keep_their_invariants():
+    for (a, b, c), (lcm, lms) in FAMILY_STRONG.items():
+        spec, ideals, _ = parse_input(FAMILY.format(a=a, b=b, c=c))
+        s = spec.ordering
+        B = strong_gb([prim(g, s) for g in ideals[0].reduced_gb(s)], s)
+        assert leading_monomial_set(B) == lms
+        assert lcm_sigma(B) == lcm
+
+
+# Instance #104 of the rad_identity property suite (random.Random(101)): its
+# strong basis once took six minutes.
+RAD_104 = (
+    "ring QQ[x,y,z] degrevlex;\n"
+    "ideal(-7/2*x^2*z^2 + 3*y*z^2, 9*x*y^2 + 2*y^2*z + 3*x, -3/2*x^3*z - 5/2*x*y^2 + y);\n"
+)
+
+
+def test_rad_identity_instance_104():
+    spec, ideals, _ = parse_input(RAD_104)
+    I, s = ideals[0], spec.ordering
+    with timed(10.0):
+        assert check_rad_identity(I, s)[2]
+        B = strong_gb([prim(g, s) for g in I.reduced_gb(s)], s)
+        assert lcm_sigma(B) == 287729082900

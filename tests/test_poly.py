@@ -21,6 +21,7 @@ from modgb import (
     prim,
     reduce_mod_p,
 )
+from modgb.gb_field import s_polynomial
 from modgb.orderings import degrevlex, lex
 
 
@@ -111,6 +112,17 @@ def test_prime_field_arithmetic():
     assert F.invert(3) == 2
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_fp_arithmetic_is_canonical():
+    # sums, negations and products over F_p keep residues in [1, p)
+    R = PolyRing(GF(5), ("x", "y"))
+    x, y = R.gens()
+    f, g = x * x + y.scale(3), x * y + R.one()
+    s = s_polynomial(f, g, degrevlex(2))
+    assert s.terms == {(0, 2): 3, (1, 0): 4}
+    for h in (s, f * g, f * f * f, -f, f - g, f + f + f):
+        assert all(1 <= c < 5 for c in h.terms.values())
 
 
 def test_ideal_drops_zero_gens_and_caches():
