@@ -15,6 +15,7 @@ from .gb_field import (
     BudgetExceeded,
     ReducedGB,
     buchberger_reduced,
+    fglm,
     is_groebner,
     min_lt,
     normal_form,

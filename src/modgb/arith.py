@@ -6,6 +6,8 @@ from fractions import Fraction
 
 # Trial division cutoff before switching to Pollard rho.
 _TRIAL_LIMIT = 1 << 20
+# Pollard rho steps whose differences are multiplied together per gcd.
+_RHO_BATCH = 128
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -41,19 +43,35 @@ def is_prime(n):
 
 
 def _pollard_rho(n, rng):
-    """Find a non-trivial factor of composite n (Brent's cycle variant)."""
+    """Find a non-trivial factor of composite n (Brent's cycle variant).
+
+    The products of |x - y| are batched, _RHO_BATCH steps per gcd; when a
+    batch overshoots to the gcd n, its steps are retraced one at a time.
+    """
     if n % 2 == 0:
         return 2
     while True:
         c = rng.randrange(1, n)
-        x = rng.randrange(0, n)
-        y = x
-        d = 1
+        y = rng.randrange(0, n)
+        r, q, d = 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(abs(x - ys), n)
         if d != n:
             return d
 

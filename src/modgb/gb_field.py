@@ -268,6 +268,77 @@ def buchberger_reduced(gens, sigma, budget=None, counter=None):
     return ReducedGB(sigma, reduced)
 
 
+def is_zero_dimensional(G):
+    """True when every variable has a pure power among G's leading terms."""
+    pure = {i for t in G.leading_terms() for i, e in enumerate(t) if e and e == sum(t)}
+    return bool(G.elements) and len(pure) == G[0].ring.n
+
+
+def fglm(G, tau):
+    """The reduced tau-basis of a zero-dimensional ideal from its reduced
+    basis G (Faugere-Gianni-Lazard-Mora change of ordering).
+
+    Monomials are visited in increasing tau order, skipping multiples of the
+    tau-leading terms found so far.  The G-normal form of x_i * m is that of
+    m, shifted by x_i and reduced again.  The normal forms are kept in
+    echelon form, each row with its combination of visited monomials; a
+    normal form that eliminates to zero gives the element m - sum c_j b_j.
+    """
+    sigma, ring = G.ordering, G[0].ring
+    dom, n = ring.domain, ring.n
+    p = dom.characteristic
+    reducers = _reducers(G.elements, sigma)
+
+    def subtract(v, f, w):
+        """v -= f * w, in place."""
+        for t, a in w.items():
+            c = v.get(t, 0) - f * a
+            if p:
+                c %= p
+            if c:
+                v[t] = c
+            else:
+                v.pop(t, None)
+
+    def scaled(w, f):
+        return {t: c * f % p if p else c * f for t, c in w.items()}
+
+    one = (0,) * n
+    nfs = {}  # visited monomial outside the leading-term ideal -> normal form
+    rows = []  # (pivot, normal-form row, monomial combination), pivot entry 1
+    lts, elements = [], []
+    heap, seen = [(tau.key(one), one, None, 0)], {one}
+    while heap:
+        _, m, parent, i = heapq.heappop(heap)
+        if any(all(map(le, lt, m)) for lt in lts):
+            continue
+        if parent is None:
+            start = {one: dom.one}
+        else:
+            start = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in nfs[parent].items()}
+        nf = _reduce(_Work(start, sigma.key, p), reducers)
+        v, comb = dict(nf), {m: dom.one}
+        for pivot, w, cw in rows:
+            f = v.get(pivot)
+            if f:
+                subtract(v, f, w)
+                subtract(comb, f, cw)
+        if not v:
+            lts.append(m)
+            elements.append(Polynomial(ring, comb))
+            continue
+        pivot = next(iter(v))
+        inv = dom.invert(v[pivot])
+        rows.append((pivot, scaled(v, inv), scaled(comb, inv)))
+        nfs[m] = nf
+        for j in range(n):
+            u = m[:j] + (m[j] + 1,) + m[j + 1 :]
+            if u not in seen:
+                seen.add(u)
+                heapq.heappush(heap, (tau.key(u), u, m, j))
+    return ReducedGB(tau, elements)
+
+
 def min_lt(G):
     """MinLT: the set of leading terms of the reduced basis."""
     return set(G.leading_terms())

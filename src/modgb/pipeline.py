@@ -95,12 +95,18 @@ def filter_runs(runs):
     return kept, rejected
 
 
-def lift_and_reconstruct(kept, I, tau):
-    """Candidate rational basis from the kept runs, or None for more primes."""
+def lift_and_reconstruct(kept, I, tau, state=None):
+    """Candidate rational basis from the kept runs, or None for more primes.
+
+    A LiftState passed as state must have absorbed a prefix of kept; it
+    absorbs the rest and is reused, so a caller that keeps it across
+    attempts lifts each run once.
+    """
     if not kept:
         raise ValueError("no runs to lift")
-    state = LiftState(kept[0].lt_tuple)
-    for r in kept:
+    if state is None:
+        state = LiftState(kept[0].lt_tuple)
+    for r in kept[len(state.primes) :]:
         state.absorb(r)
     ring = PolyRing(QQ, I.ring.names)
     m = state.modulus
@@ -211,6 +217,7 @@ def modular_gb(
         basis = ReducedGB(tau, [])
         return ModularGBResult(basis, [], [], 0, time.monotonic() - start)
     kept = []
+    state = None  # the CRT lift of kept, rebuilt when the committed tuple changes
     rejected = []
     tried = set()
     attempts = 0
@@ -234,7 +241,7 @@ def modular_gb(
             rejected.append(dummy)
             continue
         if not kept:
-            kept = [run]
+            kept, state = [run], LiftState(run.lt_tuple)
         else:
             cmp = precedes(run.lt_tuple, kept[0].lt_tuple)
             if cmp == PRECEDES:
@@ -248,9 +255,9 @@ def modular_gb(
                 for r in kept:
                     r.certificate = (r.lt_tuple, run.lt_tuple)
                 rejected.extend(kept)
-                kept = [run]
+                kept, state = [run], LiftState(run.lt_tuple)
         if len(kept) >= 3 and (len(kept) - 3) % 2 == 0:
-            candidate = lift_and_reconstruct(kept, I, tau)
+            candidate = lift_and_reconstruct(kept, I, tau, state)
             if candidate is not None and verify_candidate(
                 candidate, I, tau, full_verify, sigma
             ):

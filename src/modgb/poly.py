@@ -381,6 +381,9 @@ class Ideal:
     It caches what is computed from it: reduced Groebner bases per ordering,
     its Groebner fan per traversal budget (fan._cached_fan) and its reduction
     tuples (primes.reduction_tuple).  The caches live and die with the ideal.
+    A basis may also be seeded from outside when it is known to be the
+    reduced one: primes.reduction caches the reduced sigma-basis of each
+    reduction ideal it builds.
     """
 
     def __init__(self, ring, gens):
@@ -394,13 +397,19 @@ class Ideal:
         self._tuple_cache = {}
 
     def reduced_gb(self, sigma):
-        """Reduced sigma-Groebner basis (memoized; the expensive step)."""
+        """Reduced sigma-Groebner basis (memoized; the expensive step).
+
+        On a cache miss it is converted by FGLM from a cached basis of a
+        zero-dimensional ideal when there is one, and computed by Buchberger
+        from the generators otherwise.
+        """
         key = sigma.canonical()
         basis = self._gb_cache.get(key)
         if basis is None:
-            from .gb_field import buchberger_reduced
+            from .gb_field import buchberger_reduced, fglm, is_zero_dimensional
 
-            basis = buchberger_reduced(self.gens, sigma)
+            known = next((G for G in self._gb_cache.values() if is_zero_dimensional(G)), None)
+            basis = fglm(known, sigma) if known else buchberger_reduced(self.gens, sigma)
             self._gb_cache[key] = basis
         return basis
 

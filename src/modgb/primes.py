@@ -2,6 +2,7 @@
 purely modular detector for relatively bad primes."""
 
 from .arith import rad
+from .gb_field import ReducedGB
 from .gb_integer import lcm_sigma, strong_gb
 from .poly import Ideal, PolyRing, GF, den, den_of_set, leading, prim, reduce_mod_p
 
@@ -35,7 +36,12 @@ class PrimeVerdict:
 
 class ReductionIdeal:
     """The image of an ideal modulo a sigma-good prime, generated by the
-    reductions of the reduced sigma-basis (which stay a reduced basis)."""
+    reductions of the reduced sigma-basis G.
+
+    G mod p is the reduced sigma-basis of this ideal, and the ideal holds it
+    cached: G is monic with coefficients free of p, so dividing an
+    S-polynomial by G takes the same steps over ZZ localized at p as over QQ,
+    and its standard representation survives the reduction mod p."""
 
     __slots__ = ("prime", "ordering", "ideal")
 
@@ -67,7 +73,12 @@ def classify_prime(I, sigma, p):
 
 
 def reduction(I, sigma, p):
-    """The (p, sigma)-reduction of I; rejects sigma-bad primes."""
+    """The (p, sigma)-reduction of I; rejects sigma-bad primes.
+
+    Its ideal comes with G mod p cached as its reduced sigma-basis (see
+    ReductionIdeal), so a zero-dimensional reduction gets its other bases by
+    FGLM from it.
+    """
     verdict = classify_prime(I, sigma, p)
     if verdict.status == SIGMA_BAD:
         raise ValueError(
@@ -76,7 +87,9 @@ def reduction(I, sigma, p):
         )
     ring_p = PolyRing(GF(p), I.ring.names)
     gens = [reduce_mod_p(g, p) for g in I.reduced_gb(sigma)]
-    return ReductionIdeal(p, sigma, Ideal(ring_p, gens))
+    J = Ideal(ring_p, gens)
+    J._gb_cache[sigma.canonical()] = ReducedGB(sigma, gens)
+    return ReductionIdeal(p, sigma, J)
 
 
 def pauer_lucky(F, sigma, p):

@@ -58,6 +58,14 @@ def test_factor_semiprime_beyond_trial_division():
     assert factor(p * q) == {p: 1, q: 1}
 
 
+def test_factor_product_of_two_40_bit_primes():
+    # both factors are beyond trial division, so Pollard rho has to split n
+    p, q = 2**40 - 87, 2**38 - 45
+    f = factor(p * q)
+    assert f == {p: 1, q: 1}
+    assert list(factor(p * q)) == list(f)
+
+
 def test_factor_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor(0)

@@ -19,19 +19,22 @@ from modgb import (
     Ideal,
     PolyRing,
     buchberger_reduced,
+    fglm,
     is_groebner,
     leading,
     min_lt,
     monic,
     normal_form,
+    parse_input,
     poly_str,
     reduce_mod_p,
     represent,
     s_polynomial,
 )
 from modgb import fan
-from modgb.gb_field import _Counter
-from modgb.orderings import degrevlex, lex
+from modgb import gb_field
+from modgb.gb_field import _Counter, is_zero_dimensional
+from modgb.orderings import deglex, degrevlex, elim, lex, matrix_order
 from modgb.primes import reduction
 
 
@@ -227,3 +230,59 @@ def test_reduction_steps_fan(monkeypatch):
     R, I = twelve_cone_ideal()
     assert len(fan.enumerate_fan(I)) == 12
     assert [fan.DEFAULT_BUDGET - c.left for c in made] == [619]
+
+
+# Instance #104 of the rad_identity property suite (random.Random(101)).  It
+# is positive-dimensional (it contains the z-axis), so FGLM is checked on it
+# cut down to finitely many points by one more generator.
+RAD_104 = (
+    "ring QQ[x,y,z] degrevlex;\n"
+    "ideal(-7/2*x^2*z^2 + 3*y*z^2, 9*x*y^2 + 2*y^2*z + 3*x, -3/2*x^3*z - 5/2*x*y^2 + y);\n"
+)
+
+
+def _rad_104_cut():
+    spec, ideals, _ = parse_input(RAD_104.replace(");", ", z^3 + x - 2);"))
+    return spec.ring(), ideals[0]
+
+
+_TAUS = (lex(3), deglex(3), elim([0, 1], 3), matrix_order([[1, 2, 3], [0, 0, 1], [0, 1, 0]]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [many_bad_primes_ideal, twelve_cone_ideal, _rad_104_cut],
+    ids=["many_bad_primes", "twelve_cone", "rad_104_cut"],
+)
+def test_fglm_matches_buchberger(make):
+    (R, I), s = make(), degrevlex(3)
+    for p in (None, 11, 13, 2147483647):
+        J = I if p is None else reduction(I, s, p).ideal
+        G = J.reduced_gb(s)
+        assert is_zero_dimensional(G)
+        for t in _TAUS:
+            assert fglm(G, t) == buchberger_reduced(J.gens, t), (p, t)
+
+
+def test_reduced_gb_converts_a_cached_zero_dimensional_basis(monkeypatch):
+    R, I = many_bad_primes_ideal()
+    red = reduction(I, degrevlex(3), 11)
+    converted = []
+
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("a zero-dimensional reduction ran Buchberger")
+
+    monkeypatch.setattr(gb_field, "buchberger_reduced", no_buchberger)
+    monkeypatch.setattr(gb_field, "fglm", lambda G, t: converted.append(t) or fglm(G, t))
+    assert red.ideal.reduced_gb(lex(3)).leading_terms()[0] == (0, 0, 25)
+    assert converted == [lex(3)]
+
+
+def test_fglm_of_the_unit_ideal():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    I = Ideal(R, [x, x + R.one()])
+    G = I.reduced_gb(degrevlex(2))
+    assert list(G) == [R.one()] and not is_zero_dimensional(G)
+    assert list(I.reduced_gb(lex(2))) == [R.one()]
+    assert list(fglm(G, lex(2))) == [R.one()]

@@ -11,9 +11,10 @@ from conftest import (
     many_bad_primes_ideal,
     rand_ideal,
     ring_qq,
+    timed,
     twelve_cone_ideal,
 )
-from modgb import Ideal, modular_gb
+from modgb import Ideal, buchberger_reduced, modular_gb
 from modgb.orderings import degrevlex, lex
 from modgb.pipeline import (
     LiftState,
@@ -165,12 +166,38 @@ def test_modular_gb_matches_direct_computation():
     R, I = many_bad_primes_ideal()
     t = lex(3)
     result = modular_gb(I, t, rng=random.Random(7))
-    assert list(result.basis) == list(I.reduced_gb(t))
+    # Buchberger from the generators: I.reduced_gb(t) would convert the
+    # sigma-basis the pipeline cached on I
+    assert list(result.basis) == list(buchberger_reduced(I.gens, t))
     assert len(result.used_primes) >= 3
     assert result.attempts >= len(result.used_primes)
     assert result.seconds >= 0
     for r in result.rejected:
         assert r.certificate is not None
+
+
+def test_modular_gb_many_bad_primes_lex_time_bound():
+    # per-prime lex bases come by FGLM from the reduced sigma-basis mod p;
+    # by Buchberger over F_p this took about 3 s
+    R, I = many_bad_primes_ideal()
+    with timed(1.5):
+        result = modular_gb(I, lex(3), rng=random.Random(7))
+    assert len(result.used_primes) >= 3
+
+
+def test_modular_gb_lifts_each_kept_run_once(monkeypatch):
+    absorbed = []
+    absorb = LiftState.absorb
+
+    def counting(self, run):
+        absorbed.append(run.prime)
+        absorb(self, run)
+
+    monkeypatch.setattr(LiftState, "absorb", counting)
+    R, I = many_bad_primes_ideal()
+    result = modular_gb(I, lex(3), rng=random.Random(7))
+    assert sorted(absorbed) == sorted(set(absorbed))
+    assert set(result.used_primes) <= set(absorbed)
 
 
 def test_modular_gb_deterministic_for_a_fixed_seed():
@@ -196,5 +223,5 @@ def test_modular_gb_random_ideals_agree_with_direct():
         ring, I = rand_ideal(rng, maxvars=3, maxdeg=3, maxgens=2)
         t = lex(ring.n)
         result = modular_gb(I, t, rng=random.Random(done))
-        assert list(result.basis) == list(I.reduced_gb(t))
+        assert list(result.basis) == list(buchberger_reduced(I.gens, t))
         done += 1

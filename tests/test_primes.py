@@ -4,11 +4,22 @@ import pytest
 
 from conftest import (
     chained_doubling_ideal,
+    graph_ideal_six_vars,
     many_bad_primes_ideal,
     mixed_denominator_ideal,
     ring_qq,
+    twelve_cone_ideal,
 )
-from modgb import Ideal, check_rad_identity, classify_prime, detect_tau_bad, prim
+from modgb import (
+    Ideal,
+    buchberger_reduced,
+    check_rad_identity,
+    classify_prime,
+    detect_tau_bad,
+    gb_field,
+    prim,
+)
+from modgb.gb_field import is_zero_dimensional
 from modgb.orderings import degrevlex, lex, matrix_order
 from modgb.primes import (
     NOT_PAUER_LUCKY,
@@ -54,6 +65,28 @@ def test_reduction_rejects_bad_prime():
     red = reduction(I, s, 5)
     assert red.ideal.ring.domain.characteristic == 5
     assert len(red.generators) == 2
+
+
+def test_reduction_seeds_its_reduced_sigma_basis():
+    # every prime below is sigma-good for all three: their sigma-denominators are 1
+    R, J, sigma, tau = graph_ideal_six_vars()
+    cases = [(J, sigma)]
+    cases += [(mk()[1], degrevlex(3)) for mk in (many_bad_primes_ideal, twelve_cone_ideal)]
+    for I, s in cases:
+        for p in (2, 3, 5, 7, 11, 13, 2147483647):
+            red = reduction(I, s, p)
+            assert red.ideal.reduced_gb(s) == buchberger_reduced(red.generators, s), p
+
+
+def test_positive_dimensional_reduction_runs_buchberger(monkeypatch):
+    def no_fglm(G, tau):
+        raise AssertionError("fglm called on a positive-dimensional ideal")
+
+    monkeypatch.setattr(gb_field, "fglm", no_fglm)
+    R, J, sigma, tau = graph_ideal_six_vars()
+    red = reduction(J, sigma, 7)
+    assert not is_zero_dimensional(red.ideal.reduced_gb(sigma))
+    assert len(red.ideal.reduced_gb(tau)) > 0
 
 
 def test_pauer_luckiness_can_be_strictly_stronger():
