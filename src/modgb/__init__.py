@@ -29,6 +29,7 @@ from .parsing import (
     RingSpec,
     parse_input,
     parse_order_text,
+    parse_poly_text,
     serialize_input,
     serialize_order,
 )

@@ -11,9 +11,9 @@ from .fan import DEFAULT_BUDGET, DEFAULT_MAX_CONES, enumerate_fan, FanBudgetExce
 from .gb_field import normal_form
 from .gb_integer import lcm_sigma, strong_gb
 from .orderings import degrevlex
-from .parsing import ParseError, parse_input, parse_order_text
+from .parsing import ParseError, parse_input, parse_order_text, parse_poly_text
 from .pipeline import modular_gb
-from .poly import QQ, ZZ, den_of_set, poly_str, prim
+from .poly import QQ, ZZ, poly_str, prim
 from .primes import (
     check_rad_identity,
     classify_prime,
@@ -142,9 +142,7 @@ def _cmd_strong_gb(args):
 def _cmd_nf(args):
     spec, I = _read_input(args.file)
     order = _order_flag(args.order, spec)
-    from .parsing import _Parser as _P, _tokenize
-
-    f = _P(_tokenize(args.poly)).parse_poly(spec.ring())
+    f = parse_poly_text(args.poly, spec.ring())
     r = normal_form(f, I.reduced_gb(order), order)
     _emit(args, {"normal_form": poly_str(r, order)}, poly_str(r, order))
     return 0

@@ -243,8 +243,9 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     while queue:
         i = queue.popleft()
         cone = cones[i]
-        for v in sorted(cone.cone_vectors()):
-            w = _facet_point(cone.cone_vectors(), v, n)
+        vectors = cone.cone_vectors()
+        for v in sorted(vectors):
+            w = _facet_point(vectors, v, n)
             if w is None:
                 continue
             tau = _flip_ordering(w, v, n)

@@ -146,103 +146,108 @@ def normal_form(f, G, sigma, counter=None):
     return Polynomial(f.ring, _reduce(work, _reducers(basis, sigma), counter))
 
 
+def _divide(work, reducers, row, reps, counter=None, full=True):
+    """_reduce that also tracks coefficients: returns the remainder and
+    row - sum_k q_k * reps[k], q_k the quotient by the reducer at position k.
+
+    When row is the coefficient vector of the work polynomial, so is the
+    returned one of the remainder.
+    """
+    quotients = {}
+
+    def record(pos, shift, factor):
+        quotients.setdefault(pos, []).append((shift, factor))
+
+    r = _reduce(work, reducers, counter, full, record)
+    for pos, terms in quotients.items():
+        q = row[0].ring.from_terms(terms)
+        row = [x - q * y for x, y in zip(row, reps[pos])]
+    return r, row
+
+
 def _gm_update(lts, pairs, j, sigma):
     """Gebauer-Moeller pair update when basis element j is appended.
 
-    Implements the product (coprime) and chain criteria.
+    Drops from pairs, in place, the pairs that j makes redundant, and
+    returns the new pairs (i, j) kept by the product and chain criteria.
     """
     ltj = lts[j]
     lcm = pp_lcm
-    key = sigma.key
-    kept = set()
+    dropped = []
     for a, b in pairs:
         l = lcm(lts[a], lts[b])
-        if (
-            not pp_divides(ltj, l)
-            or l == lcm(lts[a], ltj)
-            or l == lcm(lts[b], ltj)
-        ):
-            kept.add((a, b))
+        if pp_divides(ltj, l) and l != lcm(lts[a], ltj) and l != lcm(lts[b], ltj):
+            dropped.append((a, b))
+    pairs.difference_update(dropped)
     by_lcm = {}
     for i in range(j):
         by_lcm.setdefault(lcm(lts[i], ltj), []).append(i)
     minimal = []
-    for l in sorted(by_lcm, key=key):
+    for l in sorted(by_lcm, key=sigma.key):
         if all(not pp_divides(m, l) for m in minimal):
             minimal.append(l)
-    for l in minimal:
-        if any(lcm(lts[i], ltj) == pp_mul(lts[i], ltj) for i in by_lcm[l]):
-            continue
-        kept.add((min(by_lcm[l]), j))
-    return kept
+    return [
+        (min(by_lcm[l]), j)
+        for l in minimal
+        if not any(lcm(lts[i], ltj) == pp_mul(lts[i], ltj) for i in by_lcm[l])
+    ]
 
 
-def buchberger(gens, sigma, counter=None):
+def buchberger(gens, sigma, counter=None, reps=None):
     """A monic (not reduced) Groebner basis of the ideal generated by gens.
 
-    Head reduction uses the first-inserted applicable basis element.
+    Head reduction uses the first-inserted applicable basis element.  When a
+    list reps is given, it receives each element's coefficients in gens:
+    basis[k] == sum(reps[k][i] * gens[i]).
     """
     basis = []
     lts = []
     reducers = []
     pairs = set()
+    heap = []
+    key = sigma.key
 
-    def append(f):
-        nonlocal pairs
+    def append(f, rep):
         lt, lc = leading(f, sigma)
-        f = f.scale(f.ring.domain.invert(lc))
-        basis.append(f)
+        inv = f.ring.domain.invert(lc)
+        basis.append(f.scale(inv))
         lts.append(lt)
-        reducers.append(_reducer(f, lt, f.ring.domain.one, len(basis) - 1))
-        pairs = _gm_update(lts, pairs, len(basis) - 1, sigma)
+        reducers.append(_reducer(basis[-1], lt, f.ring.domain.one, len(basis) - 1))
+        if reps is not None:
+            reps.append([x.scale(inv) for x in rep])
+        for pr in _gm_update(lts, pairs, len(basis) - 1, sigma):
+            pairs.add(pr)
+            heapq.heappush(heap, (key(pp_lcm(lts[pr[0]], lts[pr[1]])), pr))
 
-    for f in gens:
+    for i, f in enumerate(gens):
         if not f.is_zero():
-            append(f)
+            unit = None
+            if reps is not None:
+                unit = [f.ring.one() if k == i else f.ring.zero() for k in range(len(gens))]
+            append(f, unit)
     if not basis:
         return []
 
     ring = basis[0].ring
     one, p = ring.domain.one, ring.domain.characteristic
-    key = sigma.key
-    heap = []
-    seen = set()
-
-    def push_new():
-        for pr in pairs - seen:
-            seen.add(pr)
-            l = pp_lcm(lts[pr[0]], lts[pr[1]])
-            heapq.heappush(heap, (key(l), pr))
-
-    push_new()
     while heap:
         _, (a, b) = heapq.heappop(heap)
         if (a, b) not in pairs:
             continue
         pairs.discard((a, b))
         l = pp_lcm(lts[a], lts[b])
-        sh = pp_div(l, lts[a])
-        work = _Work({pp_mul(t, sh): c for t, c in reducers[a][2]}, key, p)
-        work.sub(one, pp_div(l, lts[b]), reducers[b][2])
-        s = _reduce(work, reducers, counter, full=False)
+        sa, sb = pp_div(l, lts[a]), pp_div(l, lts[b])
+        work = _Work({pp_mul(t, sa): c for t, c in reducers[a][2]}, key, p)
+        work.sub(one, sb, reducers[b][2])
+        rep = None
+        if reps is None:
+            s = _reduce(work, reducers, counter, full=False)
+        else:
+            rep = [x.mul_term(sa, one) - y.mul_term(sb, one) for x, y in zip(reps[a], reps[b])]
+            s, rep = _divide(work, reducers, rep, reps, counter, full=False)
         if s:
-            append(Polynomial(ring, s))
-            push_new()
+            append(Polynomial(ring, s), rep)
     return basis
-
-
-def _minimalize(basis, sigma):
-    """Drop elements whose leading term is divisible by another's."""
-    order = sorted(range(len(basis)), key=lambda i: sigma.key(leading(basis[i], sigma)[0]))
-    kept = []
-    kept_lts = []
-    for i in order:
-        lt = leading(basis[i], sigma)[0]
-        if any(pp_divides(m, lt) for m in kept_lts):
-            continue
-        kept.append(basis[i])
-        kept_lts.append(lt)
-    return kept
 
 
 def buchberger_reduced(gens, sigma, budget=None, counter=None):
@@ -254,17 +259,22 @@ def buchberger_reduced(gens, sigma, budget=None, counter=None):
     if counter is None and budget is not None:
         counter = _Counter(budget)
     basis = buchberger(gens, sigma, counter)
-    basis = _minimalize(basis, sigma)
-    # tail interreduction; each element fully reduced against the others
+    if not basis:
+        return ReducedGB(sigma, [])
+    # the minimal basis, as reducers in increasing leading-term order
+    minimal = []
+    for r in _reducers(basis, sigma):
+        if not any(pp_divides(m[0], r[0]) for m in minimal):
+            minimal.append(r)
+    # Each monic element's tail is reduced against all of them: its own
+    # leading term divides none of the (smaller) terms met on the way.
+    ring = basis[0].ring
+    p = ring.domain.characteristic
     reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1 :]
-        r = normal_form(g, others, sigma, counter)
-        reduced.append(r)
-    from .poly import monic
-
-    reduced = [monic(g, sigma) for g in reduced]
-    reduced.sort(key=lambda g: sigma.key(leading(g, sigma)[0]))
+    for lt, _, tail, _ in minimal:
+        terms = {lt: ring.domain.one}
+        terms.update(_reduce(_Work(dict(tail), sigma.key, p), minimal, counter))
+        reduced.append(Polynomial(ring, terms))
     return ReducedGB(sigma, reduced)
 
 
@@ -370,96 +380,22 @@ def is_groebner(basis, sigma):
 # representation of a basis in terms of the original generators
 
 
-def _tracked_buchberger(F, sigma):
-    """Groebner basis of <F> where each element carries its expression in F."""
-    ring = F[0].ring
-    dom = ring.domain
-    zero = ring.zero()
-
-    items = []  # (poly, rep) with poly == sum rep[i] * F[i]
-    lts = []
-    pairs = set()
-
-    def append(f, rep):
-        nonlocal pairs
-        lt, lc = leading(f, sigma)
-        inv = dom.invert(lc)
-        f = f.scale(inv)
-        rep = [r.scale(inv) for r in rep]
-        items.append((f, rep))
-        lts.append(lt)
-        pairs = _gm_update(lts, pairs, len(items) - 1, sigma)
-
-    for i, f in enumerate(F):
-        if f.is_zero():
-            continue
-        rep = [ring.one() if j == i else zero for j in range(len(F))]
-        append(f, rep)
-
-    key = sigma.key
-    heap = []
-    seen = set()
-
-    def push_new():
-        for pr in pairs - seen:
-            seen.add(pr)
-            l = pp_lcm(lts[pr[0]], lts[pr[1]])
-            heapq.heappush(heap, (key(l), pr))
-
-    push_new()
-    while heap:
-        _, (a, b) = heapq.heappop(heap)
-        if (a, b) not in pairs:
-            continue
-        pairs.discard((a, b))
-        fa, ra = items[a]
-        fb, rb = items[b]
-        l = pp_lcm(lts[a], lts[b])
-        ta, tb = pp_div(l, lts[a]), pp_div(l, lts[b])
-        s = fa.mul_term(ta, dom.one) - fb.mul_term(tb, dom.one)
-        rs = [
-            x.mul_term(ta, dom.one) - y.mul_term(tb, dom.one)
-            for x, y in zip(ra, rb)
-        ]
-        s, rs = _divide_tracked(s, rs, items, sigma)
-        if not s.is_zero():
-            append(s, rs)
-            push_new()
-    return items
-
-
-def _divide_tracked(f, rep, items, sigma):
-    """Fully reduce f by the tracked basis, updating its representation."""
-    ring = f.ring
-    quotients = {}
-
-    def record(pos, shift, factor):
-        q = quotients.setdefault(pos, {})
-        q[shift] = q.get(shift, ring.domain.zero) + factor
-
-    work = _Work(dict(f.terms), sigma.key, ring.domain.characteristic)
-    r = _reduce(work, _reducers([g for g, _ in items], sigma), on_step=record)
-    for pos, q in quotients.items():
-        q = Polynomial(ring, {t: c for t, c in q.items() if c})
-        rep = [x - q * y for x, y in zip(rep, items[pos][1])]
-    return Polynomial(ring, r), rep
-
-
 def represent(G, F, sigma):
     """Matrix M (as a list of columns over F) with G = F * M.
 
     Each column is a list of polynomials, one per element of F.  Raises
     ValueError when some element of G is not in the ideal generated by F.
     """
-    basis = G.elements if isinstance(G, ReducedGB) else list(G)
-    items = _tracked_buchberger(list(F), sigma)
-    ring = F[0].ring
-    zero = ring.zero()
+    F = list(F)
+    reps = []
+    reducers = _reducers(buchberger(F, sigma, reps=reps), sigma)
+    zeros = [f.ring.zero() for f in F]
     columns = []
-    for g in basis:
-        r, rep = _divide_tracked(g, [zero] * len(F), items, sigma)
-        if not r.is_zero():
+    for g in G:
+        work = _Work(dict(g.terms), sigma.key, g.ring.domain.characteristic)
+        r, rep = _divide(work, reducers, zeros, reps)
+        if r:
             raise ValueError("element is not in the ideal generated by F")
-        # g - r == sum (-rep_i) F_i, so the column is -rep
+        # g == sum (-rep_i) F_i, so the column is -rep
         columns.append([-x for x in rep])
     return columns

@@ -171,6 +171,11 @@ class _Parser:
             )
         return self.next()
 
+    def expect_end(self, after):
+        t = self.peek()
+        if t.kind != "end":
+            raise SyntaxError_("unexpected %r after %s" % (t.text, after), t.line, t.col)
+
     def expect_keyword(self, word):
         t = self.peek()
         if t.kind != "name" or t.text != word:
@@ -385,11 +390,7 @@ class _Parser:
         ideals = []
         while self.peek().kind == "name" and self.peek().text == "ideal":
             ideals.append(self.parse_ideal_decl(ring))
-        t = self.peek()
-        if t.kind != "end":
-            raise SyntaxError_(
-                "unexpected %r after the last declaration" % t.text, t.line, t.col
-            )
+        self.expect_end("the last declaration")
         return spec, ideals
 
 
@@ -403,10 +404,16 @@ def parse_order_text(text, names):
     """Parse a bare ordering expression (CLI flag form) for the given names."""
     parser = _Parser(_tokenize(text))
     order = parser.parse_order(list(names))
-    t = parser.peek()
-    if t.kind != "end":
-        raise SyntaxError_("unexpected %r after the ordering" % t.text, t.line, t.col)
+    parser.expect_end("the ordering")
     return order
+
+
+def parse_poly_text(text, ring):
+    """Parse a bare polynomial (CLI flag form) over the given ring."""
+    parser = _Parser(_tokenize(text))
+    f = parser.parse_poly(ring)
+    parser.expect_end("the polynomial")
+    return f
 
 
 # ---------------------------------------------------------------------------

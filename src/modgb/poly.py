@@ -300,10 +300,6 @@ def leading(f, sigma):
     return pp, f.terms[pp]
 
 
-def leading_term(f, sigma):
-    return max(f.terms, key=sigma.key)
-
-
 def monic(f, sigma):
     """Divide f by its leading coefficient (field coefficients only)."""
     pp, c = leading(f, sigma)
@@ -428,18 +424,12 @@ def poly_str(f, sigma=None):
     names = f.ring.names
     parts = []
     for pp, c in f.sorted_terms(sigma):
-        factors = []
-        for name, e in zip(names, pp):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append("%s^%d" % (name, e))
         cs = _coeff_str(c)
         neg = cs.startswith("-")
         if neg:
             cs = cs[1:]
-        if factors:
-            body = "*".join(factors) if cs == "1" else cs + "*" + "*".join(factors)
+        if any(pp):
+            body = pp_str(pp, names) if cs == "1" else cs + "*" + pp_str(pp, names)
         else:
             body = cs
         if not parts:

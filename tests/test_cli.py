@@ -65,6 +65,14 @@ def test_nf(write, capsys):
     assert out.strip() == "2*z"
 
 
+def test_nf_rejects_trailing_input(write, capsys):
+    path = write("ring QQ[x,y] degrevlex;\nideal(x^2 - y);\n")
+    for poly, col in (("x^2 ) garbage", 5), ("x^2, y", 4)):
+        code, out, err = run(capsys, "nf", "--poly", poly, path)
+        assert code == 1 and out == ""
+        assert "line 1, column %d" % col in err
+
+
 def test_classify(write, capsys):
     code, out, _ = run(
         capsys, "--json", "classify", "--primes", "2,5", write(DOUBLING)

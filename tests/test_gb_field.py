@@ -191,8 +191,19 @@ def test_represent_reproduces_basis():
 def test_represent_rejects_non_member():
     R = ring_qq("x", "y")
     x, y = R.gens()
-    with pytest.raises(ValueError):
-        represent([x + R.one()], [x * x, y], degrevlex(2))
+    for F in ([x * x, y], []):
+        with pytest.raises(ValueError):
+            represent([x + R.one()], F, degrevlex(2))
+
+
+def test_represent_zero_generator_has_zero_entry():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    F = [x * x - y, R.zero(), x * y]
+    cols = represent([y * y, x * x - y], F, degrevlex(2))
+    assert [col[1] for col in cols] == [R.zero(), R.zero()]
+    for g, col in zip([y * y, x * x - y], cols):
+        assert sum((f * c for f, c in zip(F, col)), R.zero()) == g
 
 
 # The reduction-step counts below pin the reducer-selection rule: head
