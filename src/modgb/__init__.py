@@ -6,7 +6,6 @@ from .arith import crt_pair, factor, is_prime, lcm, rad, rational_reconstruct
 from .fan import (
     Fan,
     FanBudgetExceeded,
-    MarkedGB,
     enumerate_fan,
     reduction_universal,
     universal_denominator,

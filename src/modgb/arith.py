@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 # Trial division cutoff before switching to Pollard rho.
-_TRIAL_LIMIT = 1 << 20
+_TRIAL_LIMIT = 1 << 10
 # Pollard rho steps whose differences are multiplied together per gcd.
 _RHO_BATCH = 128
 

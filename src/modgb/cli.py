@@ -13,7 +13,7 @@ from .gb_integer import lcm_sigma, strong_gb
 from .orderings import degrevlex
 from .parsing import ParseError, parse_input, parse_order_text, parse_poly_text
 from .pipeline import modular_gb
-from .poly import QQ, ZZ, poly_str, prim
+from .poly import QQ, ZZ, den_of_set, poly_str, prim
 from .primes import (
     check_rad_identity,
     classify_prime,
@@ -219,7 +219,7 @@ def _cmd_fan(args):
     lines = []
     for i, cone in enumerate(fan.cones):
         strings = _basis_strings(cone.elements, cone.ordering)
-        d = cone.den()
+        d = den_of_set(cone)
         nbrs = sorted(fan.adjacency[i])
         records.append(
             {"cone": i, "basis": strings, "den": str(d), "adjacent": nbrs}
@@ -261,7 +261,6 @@ def _cmd_modular_gb(args):
         sigma=sigma,
         prime_bits=args.prime_bits,
         max_primes=args.max_primes,
-        full_verify=(args.verify == "full"),
         rng=rng,
     )
     strings = _basis_strings(result.basis, tau)
@@ -342,7 +341,6 @@ def _build_parser():
     p.add_argument("--sigma")
     p.add_argument("--prime-bits", type=_int_at_least(2), default=31)
     p.add_argument("--max-primes", type=_int_at_least(1), default=64)
-    p.add_argument("--verify", choices=("cheap", "full"), default="cheap")
     p.add_argument("--seed", type=int)
 
     return top

@@ -1,11 +1,11 @@
 """Groebner fan enumeration, the universal denominator, and the
 ordering-free reduction modulo a prime.
 
-A cone is represented by its marked reduced basis.  Traversal starts from
-the degrevlex cone and flips facets: for a facet with primitive normal v we
-pick a rational weight w in its relative interior by Fourier-Motzkin
-back-substitution and recompute the reduced basis under the matrix
-ordering [w; -v; degrevlex rows].
+A cone is represented by its reduced basis, a ReducedGB whose leading terms
+mark it.  Traversal starts from the degrevlex cone and flips facets: for a
+facet with primitive normal v we pick a rational weight w in its relative
+interior by Fourier-Motzkin back-substitution and recompute the reduced
+basis under the matrix ordering [w; -v; degrevlex rows].
 """
 
 import math
@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .arith import lcm as int_lcm
 from .gb_field import BudgetExceeded, _Counter, buchberger_reduced, normal_form
-from .orderings import _degrevlex_rows, degrevlex, matrix_order
-from .poly import Ideal, PolyRing, GF, den_of_set, leading, reduce_mod_p
+from .orderings import _degrevlex_rows, _nullspace, degrevlex, matrix_order
+from .poly import den_of_set
+from .primes import _reduce_basis
 
 DEFAULT_MAX_CONES = 2000
 DEFAULT_BUDGET = 10**6
@@ -27,43 +28,6 @@ class FanBudgetExceeded(RuntimeError):
     def __init__(self, message, fan):
         super().__init__(message)
         self.fan = fan
-
-
-class MarkedGB:
-    """A reduced basis with its marked leading terms; one cone of the fan."""
-
-    __slots__ = ("elements", "marks", "ordering")
-
-    def __init__(self, elements, marks, ordering):
-        self.elements = list(elements)
-        self.marks = list(marks)
-        self.ordering = ordering
-
-    def cone_vectors(self):
-        """Primitive exponent-difference vectors exp(mark) - exp(t)."""
-        vs = set()
-        for g, lt in zip(self.elements, self.marks):
-            for t in g.terms:
-                if t == lt:
-                    continue
-                v = tuple(a - b for a, b in zip(lt, t))
-                d = math.gcd(*(abs(x) for x in v))
-                vs.add(tuple(x // d for x in v))
-        return vs
-
-    def key(self):
-        """Canonical hashable serialization of the marked basis."""
-        items = [
-            (mark, tuple(sorted(g.terms.items())))
-            for g, mark in zip(self.elements, self.marks)
-        ]
-        return tuple(sorted(items))
-
-    def den(self):
-        return den_of_set(self.elements)
-
-    def __repr__(self):
-        return "MarkedGB(%d elements)" % len(self.elements)
 
 
 class Fan:
@@ -81,7 +45,7 @@ class Fan:
 
     def denominator(self):
         """lcm of den over all cones' bases."""
-        return int_lcm(*[c.den() for c in self.cones]) if self.cones else 1
+        return int_lcm(*[den_of_set(c) for c in self.cones]) if self.cones else 1
 
     def __repr__(self):
         return "Fan(%d cones)" % len(self.cones)
@@ -89,34 +53,6 @@ class Fan:
 
 # ---------------------------------------------------------------------------
 # exact linear feasibility (Fourier-Motzkin with back-substitution)
-
-
-def _nullspace(rows, n):
-    """Basis of {w : row . w = 0 for every row}, as lists of Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _normalize_ineq(a):
@@ -216,12 +152,32 @@ def _flip_ordering(w, v, n):
     return matrix_order(rows, n)
 
 
-def _marked(basis):
-    return MarkedGB(basis.elements, basis.leading_terms(), basis.ordering)
+def cone_vectors(G):
+    """Primitive exponent-difference vectors exp(lt g) - exp(t) over the
+    terms t of the elements g of the reduced basis G."""
+    vs = set()
+    for g, lt in zip(G, G.leading_terms()):
+        for t in g.terms:
+            if t == lt:
+                continue
+            v = tuple(a - b for a, b in zip(lt, t))
+            d = math.gcd(*(abs(x) for x in v))
+            vs.add(tuple(x // d for x in v))
+    return vs
+
+
+def key(G):
+    """Canonical hashable form of the reduced basis G with its leading terms.
+
+    The leading terms are part of the key: {x + y} is the reduced basis of
+    two cones, marked by x in one and by y in the other.
+    """
+    items = [(lt, tuple(sorted(g.terms.items()))) for g, lt in zip(G, G.leading_terms())]
+    return tuple(sorted(items))
 
 
 def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
-    """All marked reduced bases of I, found by facet flips from degrevlex."""
+    """The reduced bases of all cones of I, found by facet flips from degrevlex."""
     n = I.ring.n
     counter = _Counter(budget)
     sigma0 = degrevlex(n)
@@ -233,34 +189,35 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
         return FanBudgetExceeded(msg, Fan(I, cones, adjacency))
 
     try:
-        seed = _marked(buchberger_reduced(I.gens, sigma0, counter=counter))
+        seed = buchberger_reduced(I.gens, sigma0, counter=counter)
     except BudgetExceeded:
         raise partial("reduction budget exhausted on the seed basis") from None
     cones.append(seed)
     adjacency[0] = set()
-    index[seed.key()] = 0
+    index[key(seed)] = 0
     queue = deque([0])
     while queue:
         i = queue.popleft()
         cone = cones[i]
-        vectors = cone.cone_vectors()
+        vectors = cone_vectors(cone)
         for v in sorted(vectors):
             w = _facet_point(vectors, v, n)
             if w is None:
                 continue
             tau = _flip_ordering(w, v, n)
             try:
-                nb = _marked(buchberger_reduced(cone.elements, tau, counter=counter))
+                nb = buchberger_reduced(cone.elements, tau, counter=counter)
             except BudgetExceeded:
                 raise partial("reduction budget exhausted during traversal") from None
-            k = index.get(nb.key())
+            nb_key = key(nb)
+            k = index.get(nb_key)
             if k is None:
                 if len(cones) >= max_cones:
                     raise partial("cone budget of %d exhausted" % max_cones)
                 k = len(cones)
                 cones.append(nb)
                 adjacency[k] = set()
-                index[nb.key()] = k
+                index[nb_key] = k
                 queue.append(k)
             if k != i:
                 adjacency[i].add(k)
@@ -289,24 +246,23 @@ def reduction_universal(
 ):
     """The ordering-free reduction I_p, defined when p does not divide Delta(I).
 
-    With verify=True every cone's basis is reduced modulo p and the images
-    are checked to generate one and the same ideal over F_p.
+    It is generated by the degrevlex cone's basis mod p, which it caches as
+    its reduced degrevlex basis.  With verify=True every cone's basis is
+    reduced modulo p the same way, and the images are checked to generate
+    one and the same ideal over F_p.
     """
     fan = _cached_fan(I, max_cones, budget)
     delta = fan.denominator()
     if delta % p == 0:
         raise ValueError("prime %d divides the universal denominator %d" % (p, delta))
-    ring_p = PolyRing(GF(p), I.ring.names)
-    sigma0 = degrevlex(I.ring.n)
-    seed_gens = [reduce_mod_p(g, p) for g in fan.cones[0].elements]
-    result = Ideal(ring_p, seed_gens)
+    result = _reduce_basis(I, fan.cones[0], p)
     if verify:
+        sigma0 = fan.cones[0].ordering
         G0 = result.reduced_gb(sigma0)
         for cone in fan.cones[1:]:
-            gens_p = [reduce_mod_p(g, p) for g in cone.elements]
-            Gc = Ideal(ring_p, gens_p).reduced_gb(sigma0)
-            ok = all(normal_form(f, G0, sigma0).is_zero() for f in gens_p) and all(
-                normal_form(g, Gc, sigma0).is_zero() for g in seed_gens
+            Gc = _reduce_basis(I, cone, p).reduced_gb(cone.ordering)
+            ok = all(normal_form(f, G0, sigma0).is_zero() for f in Gc) and all(
+                normal_form(g, Gc, cone.ordering).is_zero() for g in G0
             )
             if not ok:
                 raise ValueError(

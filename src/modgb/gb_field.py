@@ -3,7 +3,7 @@
 import heapq
 from operator import add, le, neg, sub
 
-from .poly import Polynomial, leading, pp_div, pp_divides, pp_lcm, pp_mul
+from .poly import Polynomial, leading, monic, pp_div, pp_divides, pp_lcm, pp_mul
 
 
 class BudgetExceeded(RuntimeError):
@@ -165,6 +165,18 @@ def _divide(work, reducers, row, reps, counter=None, full=True):
     return r, row
 
 
+def _s_work(ra, rb, key, p):
+    """The S-polynomial of the reducer entries of two monic polynomials, as
+    a _Work: their leading terms cancel, so it is built from the shifted
+    tails."""
+    (lta, _, taila, _), (ltb, one, tailb, _) = ra, rb
+    l = pp_lcm(lta, ltb)
+    sa = pp_div(l, lta)
+    work = _Work({pp_mul(t, sa): c for t, c in taila}, key, p)
+    work.sub(one, pp_div(l, ltb), tailb)
+    return work
+
+
 def _gm_update(lts, pairs, j, sigma):
     """Gebauer-Moeller pair update when basis element j is appended.
 
@@ -235,14 +247,13 @@ def buchberger(gens, sigma, counter=None, reps=None):
         if (a, b) not in pairs:
             continue
         pairs.discard((a, b))
-        l = pp_lcm(lts[a], lts[b])
-        sa, sb = pp_div(l, lts[a]), pp_div(l, lts[b])
-        work = _Work({pp_mul(t, sa): c for t, c in reducers[a][2]}, key, p)
-        work.sub(one, sb, reducers[b][2])
+        work = _s_work(reducers[a], reducers[b], key, p)
         rep = None
         if reps is None:
             s = _reduce(work, reducers, counter, full=False)
         else:
+            l = pp_lcm(lts[a], lts[b])
+            sa, sb = pp_div(l, lts[a]), pp_div(l, lts[b])
             rep = [x.mul_term(sa, one) - y.mul_term(sb, one) for x, y in zip(reps[a], reps[b])]
             s, rep = _divide(work, reducers, rep, reps, counter, full=False)
         if s:
@@ -356,24 +367,27 @@ def min_lt(G):
 
 def s_polynomial(f, g, sigma):
     """S-polynomial of f and g (field coefficients)."""
-    ltf, lcf = leading(f, sigma)
-    ltg, lcg = leading(g, sigma)
-    l = pp_lcm(ltf, ltg)
-    dom = f.ring.domain
-    a = f.mul_term(pp_div(l, ltf), dom.invert(lcf))
-    b = g.mul_term(pp_div(l, ltg), dom.invert(lcg))
-    return a - b
+    ra, rb = (_reducer(h, *leading(h, sigma), 0) for h in (monic(f, sigma), monic(g, sigma)))
+    return Polynomial(f.ring, _s_work(ra, rb, sigma.key, f.ring.domain.characteristic).terms)
 
 
 def is_groebner(basis, sigma):
-    """Check Buchberger's criterion directly: all S-polynomials reduce to zero."""
-    polys = [g for g in basis if not g.is_zero()]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = s_polynomial(polys[i], polys[j], sigma)
-            if not normal_form(s, polys, sigma).is_zero():
-                return False
-    return True
+    """Buchberger's criterion on the S-pairs that the product and chain
+    criteria keep, taken as buchberger takes them: all reduce to zero."""
+    polys = [monic(g, sigma) for g in basis if not g.is_zero()]
+    entries = [_reducer(g, *leading(g, sigma), pos) for pos, g in enumerate(polys)]
+    lts, pairs = [], set()
+    for j, e in enumerate(entries):
+        lts.append(e[0])
+        pairs.update(_gm_update(lts, pairs, j, sigma))
+    if not pairs:
+        return True
+    reducers = sorted(entries, key=lambda e: sigma.key(e[0]))
+    p = polys[0].ring.domain.characteristic
+    return not any(
+        _reduce(_s_work(entries[a], entries[b], sigma.key, p), reducers, full=False)
+        for a, b in pairs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ class MatrixOrder(TermOrdering):
             first = next((w for w in col if w != 0), None)
             if first is None or first < 0:
                 raise ValueError("indeterminate %d is not greater than 1" % j)
-        if _rank(self.rows) < self.n:
+        if _nullspace(self.rows, self.n):
             raise ValueError("ordering matrix is rank deficient")
 
     def key(self, pp):
@@ -145,24 +145,32 @@ def _integer_row(row):
     return tuple(int(w * d) for w in row)
 
 
-def _rank(rows):
-    m = [list(row) for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+def _nullspace(rows, n):
+    """Basis of {w : row . w = 0 for every row}, as lists of Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / pr[col]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        basis.append(v)
+    return basis
 
 
 def _degrevlex_rows(indices, n):

@@ -203,17 +203,16 @@ class _Parser:
         self.expect(")")
         return GF(p)
 
-    def parse_names(self, closer="]"):
-        names = []
-        t = self.expect("name", "an indeterminate name")
-        names.append(t.text)
+    def parse_names(self):
+        """Comma-separated distinct names, as their tokens."""
+        tokens = [self.expect("name", "an indeterminate name")]
         while self.peek().kind == ",":
             self.next()
-            t = self.expect("name", "an indeterminate name")
-            names.append(t.text)
-        if len(set(names)) != len(names):
+            tokens.append(self.expect("name", "an indeterminate name"))
+        if len({t.text for t in tokens}) != len(tokens):
+            t = tokens[-1]
             raise ArityError("repeated indeterminate name", t.line, t.col)
-        return names
+        return tokens
 
     def parse_number(self):
         neg = False
@@ -247,12 +246,12 @@ class _Parser:
             block_names = self.parse_names()
             self.expect(")")
             block = []
-            for bn in block_names:
-                if bn not in names:
+            for bt in block_names:
+                if bt.text not in names:
                     raise UnknownIndeterminateError(
-                        "%r is not an indeterminate of the ring" % bn, t.line, t.col
+                        "%r is not an indeterminate of the ring" % bt.text, bt.line, bt.col
                     )
-                block.append(names.index(bn))
+                block.append(names.index(bt.text))
             return elim(block, n)
         if t.text == "matrix":
             self.expect("(")
@@ -261,34 +260,35 @@ class _Parser:
                 self.next()
                 rows.append(self.parse_row())
             self.expect(")")
-            for row in rows:
+            for bracket, row in rows:
                 if len(row) != n:
                     raise ArityError(
                         "matrix row has %d entries for %d indeterminates"
                         % (len(row), n),
-                        t.line,
-                        t.col,
+                        bracket.line,
+                        bracket.col,
                     )
             try:
-                return matrix_order(rows, n)
+                return matrix_order([row for _, row in rows], n)
             except ValueError as e:
                 raise ArityError(str(e), t.line, t.col) from None
         raise SyntaxError_("unknown term ordering %r" % t.text, t.line, t.col)
 
     def parse_row(self):
-        self.expect("[")
+        """A row of numbers, with its opening bracket's token."""
+        bracket = self.expect("[")
         row = [self.parse_number()]
         while self.peek().kind == ",":
             self.next()
             row.append(self.parse_number())
         self.expect("]")
-        return row
+        return bracket, row
 
     def parse_ring_decl(self):
         self.expect_keyword("ring")
         domain = self.parse_coeff()
         self.expect("[")
-        names = self.parse_names()
+        names = [t.text for t in self.parse_names()]
         self.expect("]")
         ordering = self.parse_order(names)
         self.expect(";")

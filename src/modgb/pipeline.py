@@ -70,8 +70,7 @@ class LiftState:
 
 def run_prime(I, sigma, tau, p):
     """Reduced tau-basis of the (p, sigma)-reduction of I, with its tuple."""
-    red = reduction(I, sigma, p)
-    basis = red.ideal.reduced_gb(tau)
+    basis = reduction(I, sigma, p).reduced_gb(tau)
     return ModularRun(p, tau, basis, LtTuple(tau, basis.leading_terms()))
 
 
@@ -123,17 +122,17 @@ def lift_and_reconstruct(kept, I, tau, state=None):
     return polys
 
 
-def verify_candidate(candidate, I, tau, full=False, sigma=None):
+def verify_candidate(candidate, I, tau, sigma=None):
     """Check that the candidate is the reduced tau-basis of the ideal of I.
 
-    Cheap checks: the candidate is monic and self-reduced, every input
-    generator reduces to zero against it, no S-polynomial survives
-    reduction, and every candidate element reduces to zero against the
-    reduced sigma-basis of I (sigma defaults to degrevlex; the pipeline's
-    per-prime runs have already cached that basis on I).  The first three
-    give I inside the candidate's ideal, the last the reverse.  With
-    full=True the candidate is also compared against a directly computed
-    rational tau-basis.
+    The candidate is monic and self-reduced, every input generator reduces
+    to zero against it, no S-polynomial survives reduction, and every
+    candidate element reduces to zero against the reduced sigma-basis of I
+    (sigma defaults to degrevlex; the pipeline's per-prime runs have already
+    cached that basis on I).  The second check gives I inside the
+    candidate's ideal, the last the reverse, so the two ideals are equal;
+    the Groebner check then makes the monic, self-reduced candidate the
+    unique reduced tau-basis.
     """
     if not candidate:
         return not I.gens
@@ -160,13 +159,7 @@ def verify_candidate(candidate, I, tau, full=False, sigma=None):
     if sigma is None:
         sigma = degrevlex(I.ring.n)
     G = I.reduced_gb(sigma)
-    if any(not normal_form(g, G, sigma).is_zero() for g in candidate):
-        return False
-    if full:
-        direct = I.reduced_gb(tau)
-        if sorted(candidate, key=lambda g: tau.key(leading(g, tau)[0])) != list(direct):
-            return False
-    return True
+    return all(normal_form(g, G, sigma).is_zero() for g in candidate)
 
 
 class ModularGBResult:
@@ -194,7 +187,6 @@ def modular_gb(
     sigma=None,
     prime_bits=DEFAULT_PRIME_BITS,
     max_primes=DEFAULT_MAX_PRIMES,
-    full_verify=False,
     rng=None,
 ):
     """Compute the reduced tau-basis of I by the modular pipeline.
@@ -258,9 +250,7 @@ def modular_gb(
                 kept, state = [run], LiftState(run.lt_tuple)
         if len(kept) >= 3 and (len(kept) - 3) % 2 == 0:
             candidate = lift_and_reconstruct(kept, I, tau, state)
-            if candidate is not None and verify_candidate(
-                candidate, I, tau, full_verify, sigma
-            ):
+            if candidate is not None and verify_candidate(candidate, I, tau, sigma):
                 candidate.sort(key=lambda g: tau.key(leading(g, tau)[0]))
                 basis = ReducedGB(tau, candidate)
                 return ModularGBResult(

@@ -151,9 +151,6 @@ class PolyRing:
                 d[pp] = c
         return Polynomial(self, d)
 
-    def change_domain(self, domain):
-        return PolyRing(domain, self.names)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
@@ -282,11 +279,8 @@ class Polynomial:
             self.ring, {pp_mul(t, pp): a * c for t, a in self.terms.items()}
         )
 
-    def total_degree(self):
-        return max((sum(pp) for pp in self.terms), default=-1)
-
-    def sorted_terms(self, sigma, reverse=True):
-        return sorted(self.terms.items(), key=lambda kv: sigma.key(kv[0]), reverse=reverse)
+    def sorted_terms(self, sigma):
+        return sorted(self.terms.items(), key=lambda kv: sigma.key(kv[0]), reverse=True)
 
     def __repr__(self):
         return "Polynomial(%r, %r)" % (self.ring, self.terms)
@@ -378,8 +372,8 @@ class Ideal:
     its Groebner fan per traversal budget (fan._cached_fan) and its reduction
     tuples (primes.reduction_tuple).  The caches live and die with the ideal.
     A basis may also be seeded from outside when it is known to be the
-    reduced one: primes.reduction caches the reduced sigma-basis of each
-    reduction ideal it builds.
+    reduced one: a reduction mod p (primes.reduction and
+    fan.reduction_universal) holds the basis it was built from, mod p.
     """
 
     def __init__(self, ring, gens):

@@ -34,30 +34,6 @@ class PrimeVerdict:
         return "PrimeVerdict(%d, %s)" % (self.prime, self.status)
 
 
-class ReductionIdeal:
-    """The image of an ideal modulo a sigma-good prime, generated by the
-    reductions of the reduced sigma-basis G.
-
-    G mod p is the reduced sigma-basis of this ideal, and the ideal holds it
-    cached: G is monic with coefficients free of p, so dividing an
-    S-polynomial by G takes the same steps over ZZ localized at p as over QQ,
-    and its standard representation survives the reduction mod p."""
-
-    __slots__ = ("prime", "ordering", "ideal")
-
-    def __init__(self, prime, ordering, ideal):
-        self.prime = prime
-        self.ordering = ordering
-        self.ideal = ideal
-
-    @property
-    def generators(self):
-        return self.ideal.gens
-
-    def __repr__(self):
-        return "ReductionIdeal(p=%d)" % self.prime
-
-
 def den_sigma(I, sigma):
     """Denominator of the reduced sigma-Groebner basis of I."""
     return den_of_set(list(I.reduced_gb(sigma)))
@@ -72,12 +48,26 @@ def classify_prime(I, sigma, p):
     return PrimeVerdict(p, SIGMA_GOOD)
 
 
-def reduction(I, sigma, p):
-    """The (p, sigma)-reduction of I; rejects sigma-bad primes.
+def _reduce_basis(I, G, p):
+    """The ideal over F_p generated by G mod p, with G mod p cached as its
+    reduced basis; G is a reduced basis of I whose denominators p does not
+    divide.
 
-    Its ideal comes with G mod p cached as its reduced sigma-basis (see
-    ReductionIdeal), so a zero-dimensional reduction gets its other bases by
-    FGLM from it.
+    G is monic with coefficients free of p, so dividing an S-polynomial by G
+    takes the same steps over ZZ localized at p as over QQ, and its standard
+    representation survives the reduction mod p.
+    """
+    gens = [reduce_mod_p(g, p) for g in G]
+    J = Ideal(PolyRing(GF(p), I.ring.names), gens)
+    J._gb_cache[G.ordering.canonical()] = ReducedGB(G.ordering, gens)
+    return J
+
+
+def reduction(I, sigma, p):
+    """The (p, sigma)-reduction of I over F_p; rejects sigma-bad primes.
+
+    The ideal comes with G mod p cached as its reduced sigma-basis, so a
+    zero-dimensional reduction gets its other bases by FGLM from it.
     """
     verdict = classify_prime(I, sigma, p)
     if verdict.status == SIGMA_BAD:
@@ -85,11 +75,7 @@ def reduction(I, sigma, p):
             "prime %d divides the sigma-denominator %d"
             % (p, verdict.evidence["witness_denominator"])
         )
-    ring_p = PolyRing(GF(p), I.ring.names)
-    gens = [reduce_mod_p(g, p) for g in I.reduced_gb(sigma)]
-    J = Ideal(ring_p, gens)
-    J._gb_cache[sigma.canonical()] = ReducedGB(sigma, gens)
-    return ReductionIdeal(p, sigma, J)
+    return _reduce_basis(I, I.reduced_gb(sigma), p)
 
 
 def pauer_lucky(F, sigma, p):
@@ -110,7 +96,7 @@ def reduction_tuple(I, sigma, tau, p):
     key = (p, sigma.canonical(), tau.canonical())
     t = I._tuple_cache.get(key)
     if t is None:
-        t = I._tuple_cache[key] = os_of_ideal(reduction(I, sigma, p).ideal, tau)
+        t = I._tuple_cache[key] = os_of_ideal(reduction(I, sigma, p), tau)
     return t
 
 
@@ -119,15 +105,11 @@ def detect_tau_bad(I, sigma, tau, primes):
 
     Each prime whose tuple strictly tau-precedes some other prime's tuple is
     certified bad; holders of the best (tau-maximal) tuple stay undecided.
+    A sigma-bad prime raises ValueError, as in reduction.
     """
     from .tuples import PRECEDES, precedes, tuple_max
 
-    tuples = {}
-    for p in primes:
-        v = classify_prime(I, sigma, p)
-        if v.status == SIGMA_BAD:
-            raise ValueError("prime %d is sigma-bad for the ideal" % p)
-        tuples[p] = reduction_tuple(I, sigma, tau, p)
+    tuples = {p: reduction_tuple(I, sigma, tau, p) for p in primes}
     best = tuple_max(tuples.values())
     verdicts = []
     for p in primes:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import timed
 from modgb.arith import (
     crt_pair,
     factor,
@@ -64,6 +65,16 @@ def test_factor_product_of_two_40_bit_primes():
     f = factor(p * q)
     assert f == {p: 1, q: 1}
     assert list(factor(p * q)) == list(f)
+
+
+def test_factor_stops_trial_division_early():
+    # den of the reduced lex basis of conftest.many_bad_primes_ideal(): trial
+    # division stops at 2^10, so Pollard rho splits off 55817 and the 217-bit
+    # cofactor; dividing on to 2^20 took about 0.13 s
+    big = 183484113904996059352367530561645814105514339740522808228638452177
+    n = 2**5 * 7 * 11 * 55817 * big
+    with timed(0.05):
+        assert factor(n) == {2: 5, 7: 1, 11: 1, 55817: 1, big: 1}
 
 
 def test_factor_rejects_nonpositive():

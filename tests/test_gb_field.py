@@ -10,6 +10,7 @@ from conftest import (
     many_bad_primes_ideal,
     pair_of_linear_gens,
     rand_ideal,
+    rand_poly,
     ring_qq,
     twelve_cone_ideal,
 )
@@ -18,6 +19,7 @@ from modgb import (
     GF,
     Ideal,
     PolyRing,
+    QQ,
     buchberger_reduced,
     fglm,
     is_groebner,
@@ -148,6 +150,32 @@ def test_s_polynomial_reduces_to_zero_on_basis():
                 assert normal_form(sp, G, s).is_zero()
 
 
+def _all_pairs_groebner(polys, s):
+    """Reference check: every S-polynomial reduces to zero, no pair skipped."""
+    return all(
+        normal_form(s_polynomial(f, g, s), polys, s).is_zero()
+        for i, f in enumerate(polys)
+        for g in polys[i + 1 :]
+    )
+
+
+def test_is_groebner_matches_all_pairs_reference():
+    # the pairs that the product and chain criteria skip never change the verdict
+    rng = random.Random(29)
+    verdicts = []
+    for _ in range(40):
+        ring = PolyRing(QQ, ("x", "y", "z")[: rng.randint(2, 3)])
+        s = rng.choice((lex, deglex, degrevlex))(ring.n)
+        F = [f for f in (rand_poly(rng, ring, maxdeg=3) for _ in range(rng.randint(2, 4))) if f]
+        G = list(Ideal(ring, F).reduced_gb(s))
+        extra = [f for f in [rand_poly(rng, ring, maxdeg=2)] if f]
+        for polys in (F, G, G[:-1], G + F[:1], G + extra):
+            got = is_groebner(polys, s)
+            assert got == _all_pairs_groebner(polys, s), (polys, s)
+            verdicts.append(got)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
 def test_min_lt():
     R = ring_qq("x", "y")
     x, y = R.gens()
@@ -221,12 +249,12 @@ def _steps(gens, sigma):
 
 def test_reduction_steps_graph_ideal_elim():
     R, J, sigma, tau = graph_ideal_six_vars()
-    assert _steps(reduction(J, sigma, 7).ideal.gens, tau) == 4420
+    assert _steps(reduction(J, sigma, 7).gens, tau) == 4420
 
 
 def test_reduction_steps_many_bad_primes_lex():
     R, I = many_bad_primes_ideal()
-    assert _steps(reduction(I, degrevlex(3), 1000003).ideal.gens, lex(3)) == 4248
+    assert _steps(reduction(I, degrevlex(3), 1000003).gens, lex(3)) == 4248
 
 
 def test_reduction_steps_fan(monkeypatch):
@@ -268,7 +296,7 @@ _TAUS = (lex(3), deglex(3), elim([0, 1], 3), matrix_order([[1, 2, 3], [0, 0, 1],
 def test_fglm_matches_buchberger(make):
     (R, I), s = make(), degrevlex(3)
     for p in (None, 11, 13, 2147483647):
-        J = I if p is None else reduction(I, s, p).ideal
+        J = I if p is None else reduction(I, s, p)
         G = J.reduced_gb(s)
         assert is_zero_dimensional(G)
         for t in _TAUS:
@@ -285,7 +313,7 @@ def test_reduced_gb_converts_a_cached_zero_dimensional_basis(monkeypatch):
 
     monkeypatch.setattr(gb_field, "buchberger_reduced", no_buchberger)
     monkeypatch.setattr(gb_field, "fglm", lambda G, t: converted.append(t) or fglm(G, t))
-    assert red.ideal.reduced_gb(lex(3)).leading_terms()[0] == (0, 0, 25)
+    assert red.reduced_gb(lex(3)).leading_terms()[0] == (0, 0, 25)
     assert converted == [lex(3)]
 
 

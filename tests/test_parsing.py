@@ -94,6 +94,22 @@ def test_unknown_indeterminate_errors():
         parse_input("ring QQ[x,y] elim(w); ideal(x);")
 
 
+def test_ordering_errors_point_at_the_offending_token():
+    with pytest.raises(UnknownIndeterminateError) as exc:
+        parse_order_text("elim(x, q)", ["x", "y"])
+    assert (exc.value.line, exc.value.col) == (1, 9)
+    with pytest.raises(ArityError) as exc:
+        parse_order_text("matrix([1,2],[1,2,3])", ["x", "y"])
+    assert (exc.value.line, exc.value.col) == (1, 14)
+    with pytest.raises(UnknownIndeterminateError) as exc:
+        parse_input("ring QQ[x,y]\n  elim(y,\n w); ideal(x);")
+    assert (exc.value.line, exc.value.col) == (3, 2)
+    # rank and validation errors concern the whole matrix: the keyword
+    with pytest.raises(ArityError) as exc:
+        parse_order_text("matrix([1,1],[2,2])", ["x", "y"])
+    assert (exc.value.line, exc.value.col) == (1, 1)
+
+
 def test_non_prime_modulus_error():
     with pytest.raises(NonPrimeModulusError):
         parse_input("ring ZZ/(6)[x] lex; ideal(x);")

@@ -83,7 +83,10 @@ def test_lift_and_reconstruct_small():
     assert candidate is not None
     rendered = sorted(poly_str(g, t) for g in candidate)
     assert rendered == ["x - 1/4*z", "y - 1/2*z"]
-    assert verify_candidate(candidate, I, t, full=True)
+    assert verify_candidate(candidate, I, t)
+    assert sorted(candidate, key=lambda g: t.key(leading(g, t)[0])) == list(
+        buchberger_reduced(I.gens, t)
+    )
 
 
 def test_single_prime_is_not_enough():
@@ -102,7 +105,10 @@ def test_monomial_ideal_lifts_from_one_prime():
     kept = [run_prime(I, degrevlex(2), t, 5)]
     candidate = lift_and_reconstruct(kept, I, t)
     assert candidate is not None
-    assert verify_candidate(candidate, I, t, full=True)
+    assert verify_candidate(candidate, I, t)
+    assert sorted(candidate, key=lambda g: t.key(leading(g, t)[0])) == list(
+        buchberger_reduced(I.gens, t)
+    )
 
 
 def test_verify_candidate_rejects_perturbation():
