@@ -35,7 +35,6 @@ from .parsing import (
 from .pipeline import (
     LiftState,
     ModularRun,
-    filter_runs,
     lift_and_reconstruct,
     modular_gb,
     run_prime,

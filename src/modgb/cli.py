@@ -6,7 +6,7 @@ import os
 import random
 import sys
 
-from .arith import factor
+from .arith import factor, is_prime
 from .fan import DEFAULT_BUDGET, DEFAULT_MAX_CONES, enumerate_fan, FanBudgetExceeded
 from .gb_field import normal_form
 from .gb_integer import lcm_sigma, strong_gb
@@ -68,6 +68,9 @@ def _parse_primes(text):
         raise ValueError("bad prime list %r" % text) from None
     if not primes:
         raise ValueError("empty prime list")
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError("%d is not prime" % p)
     return primes
 
 
@@ -106,6 +109,17 @@ def _bracketed(strings):
     return "[" + ", ".join(strings) + "]"
 
 
+def _verdicts(verdicts, names):
+    """JSON records and text lines of prime verdicts: the prime, its status,
+    then the evidence."""
+    records = [v.to_dict(names) for v in verdicts]
+    lines = []
+    for r in records:
+        evidence = ["%s=%s" % (k, v) for k, v in r.items() if k not in ("prime", "status")]
+        lines.append("  ".join(["%d: %s" % (r["prime"], r["status"])] + evidence))
+    return records, lines
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -130,7 +144,7 @@ def _cmd_strong_gb(args):
         raise ValueError("strong-gb needs coefficients in QQ or ZZ")
     B = strong_gb(gens, order)
     strings = _basis_strings(B, order)
-    lc_lcm = lcm_sigma(B) if len(B) else 1
+    lc_lcm = lcm_sigma(B)
     _emit(
         args,
         {"basis": strings, "lc_lcm": str(lc_lcm)},
@@ -175,12 +189,7 @@ def _cmd_detect_bad(args):
     sigma = parse_order_text(args.sigma, spec.names) if args.sigma else spec.ordering
     tau = parse_order_text(args.tau, spec.names) if args.tau else degrevlex(len(spec.names))
     primes = _parse_primes(args.primes)
-    verdicts = detect_tau_bad(I, sigma, tau, primes)
-    records = [v.to_dict(spec.names) for v in verdicts]
-    lines = [
-        "%d: %s  tuple=%s" % (v.prime, v.status, v.evidence["tuple"].render(spec.names))
-        for v in verdicts
-    ]
+    records, lines = _verdicts(detect_tau_bad(I, sigma, tau, primes), spec.names)
     _emit(args, {"primes": records}, "\n".join(lines))
     return 0
 
@@ -250,8 +259,6 @@ def _cmd_universal_denominator(args):
 
 def _cmd_modular_gb(args):
     spec, I = _read_input(args.file)
-    if spec.domain is not QQ:
-        raise ValueError("modular-gb needs rational coefficients")
     tau = _order_flag(args.order, spec)
     sigma = parse_order_text(args.sigma, spec.names) if args.sigma else None
     rng = random.Random(args.seed) if args.seed is not None else None
@@ -264,20 +271,10 @@ def _cmd_modular_gb(args):
         rng=rng,
     )
     strings = _basis_strings(result.basis, tau)
-    rejected = [
-        {
-            "prime": r.prime,
-            "certificate": [
-                c.render(spec.names) if hasattr(c, "render") else str(c)
-                for c in (r.certificate or ())
-            ],
-        }
-        for r in result.rejected
-    ]
+    rejected, rejected_lines = _verdicts(result.rejected, spec.names)
     lines = [_bracketed(strings)]
     lines.append("primes used: %s" % ",".join(map(str, result.used_primes)))
-    for r in result.rejected:
-        lines.append("rejected %d: %s" % (r.prime, r.certificate))
+    lines.extend("rejected " + line for line in rejected_lines)
     lines.append("%.3f s, %d primes tried" % (result.seconds, result.attempts))
     _emit(
         args,

@@ -209,9 +209,11 @@ class _Parser:
         while self.peek().kind == ",":
             self.next()
             tokens.append(self.expect("name", "an indeterminate name"))
-        if len({t.text for t in tokens}) != len(tokens):
-            t = tokens[-1]
-            raise ArityError("repeated indeterminate name", t.line, t.col)
+        seen = set()
+        for t in tokens:
+            if t.text in seen:
+                raise ArityError("repeated indeterminate name", t.line, t.col)
+            seen.add(t.text)
         return tokens
 
     def parse_number(self):

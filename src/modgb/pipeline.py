@@ -4,6 +4,8 @@ lifting, rational reconstruction, and verification.
 The tuple test supplies the prime filter: a run whose leading-term tuple
 strictly precedes another run's tuple belongs to a relatively bad prime,
 so only holders of the best tuple seen so far contribute to the lift.
+Rejected primes get the verdicts of primes.detect_tau_bad and
+primes.classify_prime.
 """
 
 import random
@@ -13,8 +15,8 @@ from .arith import crt_pair, random_prime, rational_reconstruct, unused_prime
 from .gb_field import ReducedGB, is_groebner, normal_form
 from .orderings import degrevlex
 from .poly import BadPrimeForInput, PolyRing, QQ, leading, pp_divides
-from .primes import reduction
-from .tuples import LtTuple, PRECEDES, precedes, tuple_max
+from .primes import TAU_BAD_CERTIFIED, PrimeVerdict, classify_prime, reduction
+from .tuples import LtTuple, PRECEDES, precedes
 
 DEFAULT_PRIME_BITS = 31
 DEFAULT_MAX_PRIMES = 64
@@ -23,14 +25,12 @@ DEFAULT_MAX_PRIMES = 64
 class ModularRun:
     """One prime's artifact: its reduced tau-basis over F_p and the tuple."""
 
-    __slots__ = ("prime", "ordering", "basis", "lt_tuple", "certificate")
+    __slots__ = ("prime", "basis", "lt_tuple")
 
-    def __init__(self, prime, ordering, basis, lt_tuple):
+    def __init__(self, prime, basis, lt_tuple):
         self.prime = prime
-        self.ordering = ordering
         self.basis = basis
         self.lt_tuple = lt_tuple
-        self.certificate = None
 
     def __repr__(self):
         return "ModularRun(p=%d, %d elements)" % (self.prime, len(self.basis))
@@ -71,27 +71,13 @@ class LiftState:
 def run_prime(I, sigma, tau, p):
     """Reduced tau-basis of the (p, sigma)-reduction of I, with its tuple."""
     basis = reduction(I, sigma, p).reduced_gb(tau)
-    return ModularRun(p, tau, basis, LtTuple(tau, basis.leading_terms()))
+    return ModularRun(p, basis, LtTuple(tau, basis.leading_terms()))
 
 
-def filter_runs(runs):
-    """Split runs into holders of the best tuple and certified-bad rejects.
-
-    Every rejected run gets a certificate pair (its tuple, the better one)
-    proving its prime relatively bad.
-    """
-    runs = list(runs)
-    if not runs:
-        return [], []
-    best = tuple_max(r.lt_tuple for r in runs)
-    kept, rejected = [], []
-    for r in runs:
-        if r.lt_tuple == best:
-            kept.append(r)
-        else:
-            r.certificate = (r.lt_tuple, best)
-            rejected.append(r)
-    return kept, rejected
+def _beaten(run, best):
+    """The verdict on a run whose tuple strictly precedes best."""
+    evidence = {"tuple": run.lt_tuple, "beaten_by": best}
+    return PrimeVerdict(run.prime, TAU_BAD_CERTIFIED, evidence)
 
 
 def lift_and_reconstruct(kept, I, tau, state=None):
@@ -163,7 +149,8 @@ def verify_candidate(candidate, I, tau, sigma=None):
 
 
 class ModularGBResult:
-    """Final basis plus the prime ledger and timing of the pipeline."""
+    """Final basis plus the prime ledger and timing of the pipeline; rejected
+    holds a PrimeVerdict for each prime that was not used."""
 
     __slots__ = ("basis", "used_primes", "rejected", "attempts", "seconds")
 
@@ -194,8 +181,11 @@ def modular_gb(
     Primes are drawn at random; sigma defaults to degrevlex for the
     per-prime reduction step.  Reconstruction is attempted once the
     committed tuple has three supporters and after every second prime
-    thereafter; success requires verify_candidate.
+    thereafter; success requires verify_candidate.  I must have rational
+    coefficients.
     """
+    if I.ring.domain is not QQ:
+        raise ValueError("modular_gb needs rational coefficients, got %s" % I.ring.domain)
     if prime_bits < 2:
         raise ValueError("prime_bits must be at least 2, got %s" % prime_bits)
     if max_primes < 1:
@@ -227,26 +217,21 @@ def modular_gb(
         attempts += 1
         try:
             run = run_prime(I, sigma, tau, p)
-        except (ValueError, BadPrimeForInput) as e:
-            dummy = ModularRun(p, tau, None, None)
-            dummy.certificate = ("sigma-bad", str(e))
-            rejected.append(dummy)
+        except BadPrimeForInput:
+            rejected.append(classify_prime(I, sigma, p))
             continue
         if not kept:
             kept, state = [run], LiftState(run.lt_tuple)
         else:
             cmp = precedes(run.lt_tuple, kept[0].lt_tuple)
             if cmp == PRECEDES:
-                run.certificate = (run.lt_tuple, kept[0].lt_tuple)
-                rejected.append(run)
+                rejected.append(_beaten(run, kept[0].lt_tuple))
                 continue
             if cmp == 0:
                 kept.append(run)
             else:
                 # the committed tuple is now certified bad; rebuild the lift
-                for r in kept:
-                    r.certificate = (r.lt_tuple, run.lt_tuple)
-                rejected.extend(kept)
+                rejected.extend(_beaten(r, run.lt_tuple) for r in kept)
                 kept, state = [run], LiftState(run.lt_tuple)
         if len(kept) >= 3 and (len(kept) - 3) % 2 == 0:
             candidate = lift_and_reconstruct(kept, I, tau, state)

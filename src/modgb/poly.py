@@ -73,7 +73,9 @@ class PrimeField:
     def coerce(self, c):
         if isinstance(c, Fraction):
             if c.denominator % self.p == 0:
-                raise BadPrimeForInput("prime %d divides a denominator" % self.p)
+                raise BadPrimeForInput(
+                    "prime %d divides the denominator %d" % (self.p, c.denominator)
+                )
             return c.numerator * pow(c.denominator, -1, self.p) % self.p
         return int(c) % self.p
 

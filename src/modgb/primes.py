@@ -4,7 +4,7 @@ purely modular detector for relatively bad primes."""
 from .arith import rad
 from .gb_field import ReducedGB
 from .gb_integer import lcm_sigma, strong_gb
-from .poly import Ideal, PolyRing, GF, den, den_of_set, leading, prim, reduce_mod_p
+from .poly import Ideal, PolyRing, GF, QQ, den, den_of_set, leading, prim, reduce_mod_p
 
 SIGMA_GOOD = "SIGMA_GOOD"
 SIGMA_BAD = "SIGMA_BAD"
@@ -50,8 +50,8 @@ def classify_prime(I, sigma, p):
 
 def _reduce_basis(I, G, p):
     """The ideal over F_p generated by G mod p, with G mod p cached as its
-    reduced basis; G is a reduced basis of I whose denominators p does not
-    divide.
+    reduced basis; G is a reduced basis of I, and BadPrimeForInput is raised
+    when p divides one of its denominators.
 
     G is monic with coefficients free of p, so dividing an S-polynomial by G
     takes the same steps over ZZ localized at p as over QQ, and its standard
@@ -64,17 +64,15 @@ def _reduce_basis(I, G, p):
 
 
 def reduction(I, sigma, p):
-    """The (p, sigma)-reduction of I over F_p; rejects sigma-bad primes.
+    """The (p, sigma)-reduction of I over F_p.
 
+    Reducing G mod p rejects a sigma-bad prime: it raises BadPrimeForInput
+    (a ValueError) at the first coefficient whose denominator p divides.
     The ideal comes with G mod p cached as its reduced sigma-basis, so a
     zero-dimensional reduction gets its other bases by FGLM from it.
     """
-    verdict = classify_prime(I, sigma, p)
-    if verdict.status == SIGMA_BAD:
-        raise ValueError(
-            "prime %d divides the sigma-denominator %d"
-            % (p, verdict.evidence["witness_denominator"])
-        )
+    if I.ring.domain is not QQ:
+        raise ValueError("the reduction mod p needs rational coefficients")
     return _reduce_basis(I, I.reduced_gb(sigma), p)
 
 
@@ -105,7 +103,7 @@ def detect_tau_bad(I, sigma, tau, primes):
 
     Each prime whose tuple strictly tau-precedes some other prime's tuple is
     certified bad; holders of the best (tau-maximal) tuple stay undecided.
-    A sigma-bad prime raises ValueError, as in reduction.
+    A sigma-bad prime raises BadPrimeForInput, as in reduction.
     """
     from .tuples import PRECEDES, precedes, tuple_max
 

@@ -160,6 +160,36 @@ def test_modular_gb(write, capsys):
     assert out.splitlines()[0] == "[x - 1/4*z, y - 1/2*z]"
 
 
+TAU_BAD = "ring QQ[x,y] lex;\nideal(x^2 - 5*y + 43, x*y + y^2 + 6*x + 1);\n"
+
+
+def test_modular_gb_renders_rejected_primes_as_verdicts(write, capsys):
+    argv = ("modular-gb", "--prime-bits", "6", "--max-primes", "7", "--seed", "0")
+    argv += (write(TAU_BAD),)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    line = "rejected 37: TAU_BAD_CERTIFIED  tuple=[y^3, x*y, x^2]  beaten_by=[y^4, x]"
+    assert [l for l in out.splitlines() if l.startswith("rejected")] == [line]
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert json.loads(out)["rejected"] == [
+        {
+            "prime": 37,
+            "status": "TAU_BAD_CERTIFIED",
+            "tuple": "[y^3, x*y, x^2]",
+            "beaten_by": "[y^4, x]",
+        }
+    ]
+
+
+@pytest.mark.parametrize("command", ["classify", "detect-bad"])
+@pytest.mark.parametrize("value", ["0", "1", "4", "-3"])
+def test_primes_flag_rejects_non_primes(write, capsys, command, value):
+    code, out, err = run(capsys, command, "--primes", value, write(DOUBLING))
+    assert code == 1 and out == ""
+    assert "%s is not prime" % value in err
+
+
 def test_modular_gb_exhausted_primes_exit_1(write, capsys):
     code, _, err = run(
         capsys, "modular-gb", "--order", "lex", "--prime-bits", "3", "--seed", "1",

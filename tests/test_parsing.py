@@ -110,6 +110,18 @@ def test_ordering_errors_point_at_the_offending_token():
     assert (exc.value.line, exc.value.col) == (1, 1)
 
 
+def test_repeated_name_points_at_the_repeat():
+    cases = (
+        (lambda: parse_order_text("elim(x, x, y)", ["x", "y", "z"]), 9),
+        (lambda: parse_input("ring QQ[x,x,y] lex;"), 11),
+        (lambda: parse_input("ring QQ[x,y,x,z] lex;"), 13),
+    )
+    for parse, col in cases:
+        with pytest.raises(ArityError) as exc:
+            parse()
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+
 def test_non_prime_modulus_error():
     with pytest.raises(NonPrimeModulusError):
         parse_input("ring ZZ/(6)[x] lex; ideal(x);")

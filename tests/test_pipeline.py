@@ -14,16 +14,18 @@ from conftest import (
     timed,
     twelve_cone_ideal,
 )
-from modgb import Ideal, buchberger_reduced, modular_gb
+from modgb import GF, ZZ, Ideal, PolyRing, buchberger_reduced, detect_tau_bad, modular_gb
+from modgb import pipeline
 from modgb.orderings import degrevlex, lex
 from modgb.pipeline import (
     LiftState,
-    filter_runs,
     lift_and_reconstruct,
     run_prime,
     verify_candidate,
 )
 from modgb.poly import leading, poly_str
+from modgb.primes import SIGMA_BAD, TAU_BAD_CERTIFIED, UNDECIDED
+from modgb.tuples import PRECEDES, precedes
 
 
 def test_run_prime_golden():
@@ -32,31 +34,12 @@ def test_run_prime_golden():
     run = run_prime(I, s, t, 11)
     assert run.prime == 11
     assert run.lt_tuple.render(R.names) == "[z^25, y*z, y^2, x]"
-    assert run.certificate is None
 
 
 def test_run_prime_rejects_sigma_bad():
     R, I = chained_doubling_ideal()
     with pytest.raises(ValueError):
         run_prime(I, degrevlex(3), lex(3), 2)
-
-
-def test_filter_runs_keeps_best_tuple_holders():
-    R, I = many_bad_primes_ideal()
-    s, t = degrevlex(3), lex(3)
-    runs = [run_prime(I, s, t, p) for p in (7, 11, 13, 17)]
-    kept, rejected = filter_runs(runs)
-    assert {r.prime for r in kept} == {13, 17}
-    assert {r.prime for r in rejected} == {7, 11}
-    best = kept[0].lt_tuple
-    for r in rejected:
-        assert r.certificate == (r.lt_tuple, best)
-    for r in kept:
-        assert r.certificate is None
-
-
-def test_filter_runs_empty():
-    assert filter_runs([]) == ([], [])
 
 
 def test_lift_state_tracks_modulus_and_residues():
@@ -179,7 +162,41 @@ def test_modular_gb_matches_direct_computation():
     assert result.attempts >= len(result.used_primes)
     assert result.seconds >= 0
     for r in result.rejected:
-        assert r.certificate is not None
+        assert r.status in (SIGMA_BAD, TAU_BAD_CERTIFIED)
+
+
+@pytest.mark.parametrize("domain", [GF(7), ZZ])
+def test_modular_gb_rejects_non_rational_input_at_once(domain, monkeypatch):
+    def no_prime(*args):
+        raise AssertionError("a prime was drawn")
+
+    monkeypatch.setattr(pipeline, "random_prime", no_prime)
+    R = PolyRing(domain, ("x", "y"))
+    x, y = R.gens()
+    with pytest.raises(ValueError, match="rational"):
+        modular_gb(Ideal(R, [x * x - y, x * y + R.one()]), lex(2))
+
+
+def test_modular_gb_rejects_tau_bad_prime_with_detect_verdict():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    I = Ideal(R, [x * x - y.scale(5) + R.const(43), x * y + y * y + x.scale(6) + R.one()])
+    result = modular_gb(I, lex(2), prime_bits=6, max_primes=7, rng=random.Random(0))
+    assert [(v.prime, v.status) for v in result.rejected] == [(37, TAU_BAD_CERTIFIED)]
+    verdict = result.rejected[0]
+    detected = detect_tau_bad(I, degrevlex(2), lex(2), [37, *result.used_primes])
+    assert verdict.evidence["tuple"] == detected[0].evidence["tuple"]
+    assert precedes(verdict.evidence["tuple"], verdict.evidence["beaten_by"]) == PRECEDES
+    assert all(v.status == UNDECIDED for v in detected[1:])
+
+
+def test_modular_gb_rejects_sigma_bad_primes_with_their_denominators():
+    R = ring_qq("x", "y", "z")
+    x, y, z = R.gens()
+    I = Ideal(R, [x.scale(37) - y, y.scale(41) - z])
+    result = modular_gb(I, lex(3), prime_bits=6, rng=random.Random(1))
+    ledger = [(v.prime, v.status, v.evidence["witness_denominator"]) for v in result.rejected]
+    assert ledger == [(37, SIGMA_BAD, 1517), (41, SIGMA_BAD, 41)]
 
 
 def test_modular_gb_many_bad_primes_lex_time_bound():

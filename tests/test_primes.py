@@ -11,7 +11,11 @@ from conftest import (
     twelve_cone_ideal,
 )
 from modgb import (
+    BadPrimeForInput,
+    GF,
+    ZZ,
     Ideal,
+    PolyRing,
     buchberger_reduced,
     check_rad_identity,
     classify_prime,
@@ -65,6 +69,22 @@ def test_reduction_rejects_bad_prime():
     red = reduction(I, s, 5)
     assert red.ring.domain.characteristic == 5
     assert len(red.gens) == 2
+
+
+def test_reduction_names_the_denominator_it_found():
+    R = ring_qq("x", "y", "z")
+    x, y, z = R.gens()
+    I = Ideal(R, [x.scale(37) - y, y.scale(41) - z])
+    with pytest.raises(BadPrimeForInput, match="prime 37 divides the denominator 1517"):
+        reduction(I, degrevlex(3), 37)
+
+
+@pytest.mark.parametrize("domain", [GF(7), ZZ])
+def test_reduction_needs_rational_coefficients(domain):
+    R = PolyRing(domain, ("x", "y"))
+    x, y = R.gens()
+    with pytest.raises(ValueError, match="rational"):
+        reduction(Ideal(R, [x * x - y, x * y + R.one()]), degrevlex(2), 11)
 
 
 def test_reduction_seeds_its_reduced_sigma_basis():
