@@ -34,7 +34,6 @@ from .parsing import (
 )
 from .pipeline import (
     LiftState,
-    ModularRun,
     lift_and_reconstruct,
     modular_gb,
     run_prime,

@@ -111,12 +111,16 @@ def _bracketed(strings):
 
 def _verdicts(verdicts, names):
     """JSON records and text lines of prime verdicts: the prime, its status,
-    then the evidence."""
-    records = [v.to_dict(names) for v in verdicts]
+    then the evidence.  Integers (the prime, a witness denominator) are
+    emitted as decimal strings."""
+    records = [
+        {k: str(v) if isinstance(v, int) else v for k, v in verdict.to_dict(names).items()}
+        for verdict in verdicts
+    ]
     lines = []
     for r in records:
         evidence = ["%s=%s" % (k, v) for k, v in r.items() if k not in ("prime", "status")]
-        lines.append("  ".join(["%d: %s" % (r["prime"], r["status"])] + evidence))
+        lines.append("  ".join(["%s: %s" % (r["prime"], r["status"])] + evidence))
     return records, lines
 
 
@@ -167,19 +171,16 @@ def _cmd_classify(args):
     if spec.domain is not QQ:
         raise ValueError("classify needs rational coefficients")
     order = _order_flag(args.order, spec)
-    primes = _parse_primes(args.primes)
-    records = []
+    verdicts = [classify_prime(I, order, p) for p in _parse_primes(args.primes)]
+    records, _ = _verdicts(verdicts, spec.names)
     lines = []
-    for p in primes:
-        v = classify_prime(I, order, p)
-        rec = v.to_dict(spec.names)
+    for v, rec in zip(verdicts, records):
         if v.status != SIGMA_BAD:
-            pl = pauer_lucky([prim(g, order) for g in I.gens], order, p)
+            pl = pauer_lucky([prim(g, order) for g in I.gens], order, v.prime)
             rec["pauer"] = pl.status
-            lines.append("%d: %s, %s" % (p, v.status, pl.status))
+            lines.append("%d: %s, %s" % (v.prime, v.status, pl.status))
         else:
-            lines.append("%d: %s" % (p, v.status))
-        records.append(rec)
+            lines.append("%d: %s" % (v.prime, v.status))
     _emit(args, {"primes": records}, "\n".join(lines))
     return 0
 
@@ -328,10 +329,10 @@ def _build_parser():
     p.add_argument("--order")
 
     p = add("fan", _cmd_fan, help="Groebner fan enumeration")
-    p.add_argument("--max-cones", type=int, default=DEFAULT_MAX_CONES)
+    p.add_argument("--max-cones", type=_int_at_least(1), default=DEFAULT_MAX_CONES)
 
     p = add("universal-denominator", _cmd_universal_denominator, help="Delta(I)")
-    p.add_argument("--max-cones", type=int, default=DEFAULT_MAX_CONES)
+    p.add_argument("--max-cones", type=_int_at_least(1), default=DEFAULT_MAX_CONES)
 
     p = add("modular-gb", _cmd_modular_gb, help="modular pipeline with reconstruction")
     p.add_argument("--order")

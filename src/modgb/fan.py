@@ -178,6 +178,8 @@ def key(G):
 
 def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     """The reduced bases of all cones of I, found by facet flips from degrevlex."""
+    if max_cones < 1:
+        raise ValueError("max_cones must be at least 1, got %s" % max_cones)
     n = I.ring.n
     counter = _Counter(budget)
     sigma0 = degrevlex(n)

@@ -181,7 +181,7 @@ def _gm_update(lts, pairs, j, sigma):
     """Gebauer-Moeller pair update when basis element j is appended.
 
     Drops from pairs, in place, the pairs that j makes redundant, and
-    returns the new pairs (i, j) kept by the product and chain criteria.
+    returns the new pairs (i, j) that the product and chain criteria leave.
     """
     ltj = lts[j]
     lcm = pp_lcm
@@ -301,7 +301,7 @@ def fglm(G, tau):
 
     Monomials are visited in increasing tau order, skipping multiples of the
     tau-leading terms found so far.  The G-normal form of x_i * m is that of
-    m, shifted by x_i and reduced again.  The normal forms are kept in
+    m, shifted by x_i and reduced again.  The normal forms are stored in
     echelon form, each row with its combination of visited monomials; a
     normal form that eliminates to zero gives the element m - sum c_j b_j.
     """

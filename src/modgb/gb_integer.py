@@ -190,17 +190,17 @@ def strong_gb(gens, sigma):
 def _normalize_output(basis, sigma):
     """Minimalize by leading-monomial divisibility, then tail-reduce."""
     key = sigma.key
-    kept = []
+    minimal = []
     for g, lt, lc in sorted(basis, key=lambda e: (key(e[1]), e[2])):
-        if not any(_lm_divides(klt, klc, lt, lc) for _, klt, klc in kept):
-            kept.append((g, lt, lc))
+        if not any(_lm_divides(klt, klc, lt, lc) for _, klt, klc in minimal):
+            minimal.append((g, lt, lc))
     out = []
     # an element's own leading term divides none of its tail terms, so each
-    # is tail-reduced against all of kept
-    for g, _, _ in kept:
+    # is tail-reduced against the whole minimal set
+    for g, _, _ in minimal:
         work = _Work(dict(g.terms), key, 0)
         heapq.heappop(work.heap)
-        out.append(Polynomial(g.ring, _tail_reduce(work, kept)))
+        out.append(Polynomial(g.ring, _tail_reduce(work, minimal)))
     return out
 
 

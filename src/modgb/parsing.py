@@ -221,18 +221,20 @@ class _Parser:
         if self.peek().kind == "-":
             self.next()
             neg = True
-        t = self.expect("int", "a number")
-        num = int(t.text)
+        val = self.parse_fraction(self.expect("int", "a number"))
+        return -val if neg else val
+
+    def parse_fraction(self, t):
+        """The unsigned number int ['/' int] whose integer token t was taken."""
+        val = Fraction(int(t.text))
         if self.peek().kind == "/":
             self.next()
             dt = self.expect("int", "a denominator")
             d = int(dt.text)
             if d == 0:
                 raise SyntaxError_("zero denominator", dt.line, dt.col)
-            val = Fraction(num, d)
-        else:
-            val = Fraction(num)
-        return -val if neg else val
+            val /= d
+        return val
 
     def parse_order(self, names):
         t = self.expect("name", "a term ordering")
@@ -299,7 +301,6 @@ class _Parser:
     # -- polynomials -------------------------------------------------------
 
     def parse_poly(self, ring):
-        terms = []
         sign = 1
         t = self.peek()
         if t.kind == "+":
@@ -307,14 +308,11 @@ class _Parser:
         elif t.kind == "-":
             self.next()
             sign = -1
-        terms.append(self.parse_term(ring, sign))
+        terms = [self.parse_term(ring, sign)]
         while self.peek().kind in ("+", "-"):
             sign = 1 if self.next().kind == "+" else -1
             terms.append(self.parse_term(ring, sign))
-        poly = ring.zero()
-        for p in terms:
-            poly = poly + p
-        return poly
+        return ring.from_terms(terms)
 
     def parse_term(self, ring, sign):
         coeff = Fraction(sign)
@@ -323,16 +321,7 @@ class _Parser:
         while True:
             t = self.peek()
             if t.kind == "int":
-                self.next()
-                num = Fraction(int(t.text))
-                if self.peek().kind == "/":
-                    self.next()
-                    dt = self.expect("int", "a denominator")
-                    d = int(dt.text)
-                    if d == 0:
-                        raise SyntaxError_("zero denominator", dt.line, dt.col)
-                    num /= d
-                coeff *= num
+                coeff *= self.parse_fraction(self.next())
                 saw_factor = True
             elif t.kind == "name":
                 self.next()
@@ -368,10 +357,9 @@ class _Parser:
                 "expected a term, found %r" % (t.text or "end of input"), t.line, t.col
             )
         try:
-            c = ring.domain.coerce(coeff)
+            return tuple(pp), ring.domain.coerce(coeff)
         except ValueError as e:
             raise SyntaxError_(str(e), t.line, t.col) from None
-        return ring.from_terms([(tuple(pp), c)])
 
     def parse_ideal_decl(self, ring):
         self.expect_keyword("ideal")

@@ -1,11 +1,12 @@
-"""Modular Groebner basis pipeline: per-prime runs, tuple filtering, CRT
+"""Modular Groebner basis pipeline: per-prime bases, tuple filtering, CRT
 lifting, rational reconstruction, and verification.
 
-The tuple test supplies the prime filter: a run whose leading-term tuple
-strictly precedes another run's tuple belongs to a relatively bad prime,
-so only holders of the best tuple seen so far contribute to the lift.
-Rejected primes get the verdicts of primes.detect_tau_bad and
-primes.classify_prime.
+The per-prime record is the reduced tau-basis of the (p, sigma)-reduction
+over F_p; its ring gives the prime and its leading terms give the tuple.
+The tuple test supplies the prime filter: a basis whose tuple strictly
+precedes another's belongs to a relatively bad prime, so only the primes
+of the best tuple seen so far are lifted.  Rejected primes get the
+verdicts of primes.detect_tau_bad and primes.classify_prime.
 """
 
 import random
@@ -15,29 +16,15 @@ from .arith import crt_pair, random_prime, rational_reconstruct, unused_prime
 from .gb_field import ReducedGB, is_groebner, normal_form
 from .orderings import degrevlex
 from .poly import BadPrimeForInput, PolyRing, QQ, leading, pp_divides
-from .primes import TAU_BAD_CERTIFIED, PrimeVerdict, classify_prime, reduction
-from .tuples import LtTuple, PRECEDES, precedes
+from .primes import classify_prime, reduction, tau_bad_verdict
+from .tuples import EQUAL, LtTuple, PRECEDES, precedes
 
 DEFAULT_PRIME_BITS = 31
 DEFAULT_MAX_PRIMES = 64
 
 
-class ModularRun:
-    """One prime's artifact: its reduced tau-basis over F_p and the tuple."""
-
-    __slots__ = ("prime", "basis", "lt_tuple")
-
-    def __init__(self, prime, basis, lt_tuple):
-        self.prime = prime
-        self.basis = basis
-        self.lt_tuple = lt_tuple
-
-    def __repr__(self):
-        return "ModularRun(p=%d, %d elements)" % (self.prime, len(self.basis))
-
-
 class LiftState:
-    """CRT accumulator for runs sharing one committed tuple."""
+    """CRT lift of the F_p bases that hold one committed tuple."""
 
     __slots__ = ("lt_tuple", "modulus", "table", "primes")
 
@@ -47,65 +34,40 @@ class LiftState:
         self.table = {}  # (element index, pp) -> residue mod modulus
         self.primes = []
 
-    def absorb(self, run):
-        if run.lt_tuple != self.lt_tuple:
-            raise ValueError("run tuple does not match the committed tuple")
-        p = run.prime
-        keys = set(self.table)
-        for i, g in enumerate(run.basis):
-            keys.update((i, pp) for pp in g.terms)
-        new = {}
-        for key in keys:
-            i, pp = key
-            r_old = self.table.get(key, 0)
-            r_new = run.basis[i].terms.get(pp, 0) if i < len(run.basis) else 0
-            if self.modulus == 1:
-                new[key] = r_new % p
-            else:
-                new[key], _ = crt_pair(r_old, self.modulus, r_new, p)
-        self.table = new
-        self.modulus *= p
+    def absorb(self, basis):
+        """Lift one more reduced tau-basis over F_p into the table."""
+        lts = tuple(basis.leading_terms())
+        if basis.ordering != self.lt_tuple.ordering or lts != self.lt_tuple.entries:
+            raise ValueError("basis tuple does not match the committed tuple")
+        p = basis[0].ring.domain.characteristic
+        residues = {(i, pp): c for i, g in enumerate(basis) for pp, c in g.terms.items()}
+        m, table = self.modulus, self.table
+        if m == 1:
+            table.update(residues)
+        else:
+            # a term missing from either side has residue 0 there
+            for key in table.keys() | residues.keys():
+                table[key], _ = crt_pair(table.get(key, 0), m, residues.get(key, 0), p)
+        self.modulus = m * p
         self.primes.append(p)
 
 
 def run_prime(I, sigma, tau, p):
-    """Reduced tau-basis of the (p, sigma)-reduction of I, with its tuple."""
-    basis = reduction(I, sigma, p).reduced_gb(tau)
-    return ModularRun(p, basis, LtTuple(tau, basis.leading_terms()))
+    """Reduced tau-basis over F_p of the (p, sigma)-reduction of I."""
+    return reduction(I, sigma, p).reduced_gb(tau)
 
 
-def _beaten(run, best):
-    """The verdict on a run whose tuple strictly precedes best."""
-    evidence = {"tuple": run.lt_tuple, "beaten_by": best}
-    return PrimeVerdict(run.prime, TAU_BAD_CERTIFIED, evidence)
-
-
-def lift_and_reconstruct(kept, I, tau, state=None):
-    """Candidate rational basis from the kept runs, or None for more primes.
-
-    A LiftState passed as state must have absorbed a prefix of kept; it
-    absorbs the rest and is reused, so a caller that keeps it across
-    attempts lifts each run once.
-    """
-    if not kept:
-        raise ValueError("no runs to lift")
-    if state is None:
-        state = LiftState(kept[0].lt_tuple)
-    for r in kept[len(state.primes) :]:
-        state.absorb(r)
-    ring = PolyRing(QQ, I.ring.names)
-    m = state.modulus
-    coeffs = {}
-    for key, residue in state.table.items():
-        c = rational_reconstruct(residue, m)
+def lift_and_reconstruct(state, names):
+    """Candidate rational basis from the lift, in the committed tuple's order,
+    or None when some coefficient needs more primes."""
+    terms = [[] for _ in state.lt_tuple]
+    for (i, pp), residue in state.table.items():
+        c = rational_reconstruct(residue, state.modulus)
         if c is None:
             return None
-        coeffs[key] = c
-    polys = []
-    for i in range(len(state.lt_tuple)):
-        terms = [(pp, c) for (j, pp), c in coeffs.items() if j == i and c]
-        polys.append(ring.from_terms(terms))
-    return polys
+        terms[i].append((pp, c))
+    ring = PolyRing(QQ, names)
+    return [ring.from_terms(t) for t in terms]
 
 
 def verify_candidate(candidate, I, tau, sigma=None):
@@ -198,8 +160,7 @@ def modular_gb(
     if not I.gens:
         basis = ReducedGB(tau, [])
         return ModularGBResult(basis, [], [], 0, time.monotonic() - start)
-    kept = []
-    state = None  # the CRT lift of kept, rebuilt when the committed tuple changes
+    state = None  # the lift of the primes holding the best tuple so far
     rejected = []
     tried = set()
     attempts = 0
@@ -216,31 +177,30 @@ def modular_gb(
         tried.add(p)
         attempts += 1
         try:
-            run = run_prime(I, sigma, tau, p)
+            basis = run_prime(I, sigma, tau, p)
         except BadPrimeForInput:
             rejected.append(classify_prime(I, sigma, p))
             continue
-        if not kept:
-            kept, state = [run], LiftState(run.lt_tuple)
-        else:
-            cmp = precedes(run.lt_tuple, kept[0].lt_tuple)
+        t = LtTuple(tau, basis.leading_terms())
+        if state is not None:
+            cmp = precedes(t, state.lt_tuple)
             if cmp == PRECEDES:
-                rejected.append(_beaten(run, kept[0].lt_tuple))
+                rejected.append(tau_bad_verdict(p, t, state.lt_tuple))
                 continue
-            if cmp == 0:
-                kept.append(run)
-            else:
-                # the committed tuple is now certified bad; rebuild the lift
-                rejected.extend(_beaten(r, run.lt_tuple) for r in kept)
-                kept, state = [run], LiftState(run.lt_tuple)
-        if len(kept) >= 3 and (len(kept) - 3) % 2 == 0:
-            candidate = lift_and_reconstruct(kept, I, tau, state)
+            if cmp != EQUAL:
+                # the committed tuple is now certified bad; restart the lift
+                rejected.extend(tau_bad_verdict(q, state.lt_tuple, t) for q in state.primes)
+                state = None
+        if state is None:
+            state = LiftState(t)
+        state.absorb(basis)
+        used = len(state.primes)
+        if used >= 3 and used % 2 == 1:
+            candidate = lift_and_reconstruct(state, I.ring.names)
             if candidate is not None and verify_candidate(candidate, I, tau, sigma):
-                candidate.sort(key=lambda g: tau.key(leading(g, tau)[0]))
-                basis = ReducedGB(tau, candidate)
                 return ModularGBResult(
-                    basis,
-                    [r.prime for r in kept],
+                    ReducedGB(tau, candidate),
+                    state.primes,
                     rejected,
                     attempts,
                     time.monotonic() - start,

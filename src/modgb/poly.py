@@ -141,12 +141,12 @@ class PolyRing:
     def from_terms(self, terms):
         """Build a polynomial from an iterable of (exponent tuple, coefficient)."""
         d = {}
-        zero = self.domain.zero
+        zero, coerce = self.domain.zero, self.domain.coerce
         for pp, c in terms:
             pp = tuple(pp)
             if len(pp) != self.n or any(e < 0 for e in pp):
                 raise ValueError("bad exponent tuple %r" % (pp,))
-            c = d.get(pp, zero) + self.domain.coerce(c)
+            c = coerce(d[pp] + c) if pp in d else coerce(c)
             if c == zero:
                 d.pop(pp, None)
             else:

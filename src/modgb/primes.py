@@ -4,7 +4,18 @@ purely modular detector for relatively bad primes."""
 from .arith import rad
 from .gb_field import ReducedGB
 from .gb_integer import lcm_sigma, strong_gb
-from .poly import Ideal, PolyRing, GF, QQ, den, den_of_set, leading, prim, reduce_mod_p
+from .poly import (
+    BadPrimeForInput,
+    GF,
+    Ideal,
+    PolyRing,
+    QQ,
+    den,
+    den_of_set,
+    leading,
+    prim,
+    reduce_mod_p,
+)
 
 SIGMA_GOOD = "SIGMA_GOOD"
 SIGMA_BAD = "SIGMA_BAD"
@@ -98,24 +109,35 @@ def reduction_tuple(I, sigma, tau, p):
     return t
 
 
+def tau_bad_verdict(p, t, best):
+    """The verdict on a prime whose tuple t strictly tau-precedes best."""
+    return PrimeVerdict(p, TAU_BAD_CERTIFIED, {"tuple": t, "beaten_by": best})
+
+
 def detect_tau_bad(I, sigma, tau, primes):
     """Certify relatively tau-bad primes from modular data only.
 
-    Each prime whose tuple strictly tau-precedes some other prime's tuple is
-    certified bad; holders of the best (tau-maximal) tuple stay undecided.
-    A sigma-bad prime raises BadPrimeForInput, as in reduction.
+    A sigma-bad prime gets the verdict of classify_prime.  Among the other
+    primes, each whose tuple strictly tau-precedes another's is certified
+    bad; holders of the best (tau-maximal) tuple stay undecided.  The
+    verdicts follow the order of primes.
     """
     from .tuples import PRECEDES, precedes, tuple_max
 
-    tuples = {p: reduction_tuple(I, sigma, tau, p) for p in primes}
+    tuples = {}
+    for p in primes:
+        try:
+            tuples[p] = reduction_tuple(I, sigma, tau, p)
+        except BadPrimeForInput:
+            pass
     best = tuple_max(tuples.values())
     verdicts = []
     for p in primes:
-        t = tuples[p]
-        if precedes(t, best) == PRECEDES:
-            verdicts.append(
-                PrimeVerdict(p, TAU_BAD_CERTIFIED, {"tuple": t, "beaten_by": best})
-            )
+        t = tuples.get(p)
+        if t is None:
+            verdicts.append(classify_prime(I, sigma, p))
+        elif precedes(t, best) == PRECEDES:
+            verdicts.append(tau_bad_verdict(p, t, best))
         else:
             verdicts.append(PrimeVerdict(p, UNDECIDED, {"tuple": t}))
     return verdicts

@@ -80,9 +80,9 @@ def test_classify(write, capsys):
     assert code == 0
     doc = json.loads(out)
     by_prime = {r["prime"]: r for r in doc["primes"]}
-    assert by_prime[2]["status"] == "SIGMA_BAD"
-    assert by_prime[5]["status"] == "SIGMA_GOOD"
-    assert by_prime[5]["pauer"] == "PAUER_LUCKY"
+    assert by_prime["2"]["status"] == "SIGMA_BAD"
+    assert by_prime["5"]["status"] == "SIGMA_GOOD"
+    assert by_prime["5"]["pauer"] == "PAUER_LUCKY"
 
 
 def test_strong_gb(write, capsys):
@@ -113,7 +113,7 @@ def test_detect_bad(write, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == 1
-    assert {r["prime"] for r in doc["primes"]} == {3, 5}
+    assert {r["prime"] for r in doc["primes"]} == {"3", "5"}
     assert all(r["status"] == "UNDECIDED" for r in doc["primes"])
 
 
@@ -138,10 +138,10 @@ def test_detect_bad_elimination_orderings(write, capsys):
     doc = json.loads(out)
     status = {r["prime"]: r["status"] for r in doc["primes"]}
     assert status == {
-        2: "TAU_BAD_CERTIFIED",
-        3: "TAU_BAD_CERTIFIED",
-        5: "UNDECIDED",
-        7: "TAU_BAD_CERTIFIED",
+        "2": "TAU_BAD_CERTIFIED",
+        "3": "TAU_BAD_CERTIFIED",
+        "5": "UNDECIDED",
+        "7": "TAU_BAD_CERTIFIED",
     }
 
 
@@ -174,12 +174,38 @@ def test_modular_gb_renders_rejected_primes_as_verdicts(write, capsys):
     assert code == 0
     assert json.loads(out)["rejected"] == [
         {
-            "prime": 37,
+            "prime": "37",
             "status": "TAU_BAD_CERTIFIED",
             "tuple": "[y^3, x*y, x^2]",
             "beaten_by": "[y^4, x]",
         }
     ]
+
+
+def test_detect_bad_reports_sigma_bad_prime_and_judges_the_rest(write, capsys):
+    argv = ("detect-bad", "--tau", "lex", "--primes", "37,41,43", write(TAU_BAD))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "37: SIGMA_BAD  witness_denominator=37",
+        "41: UNDECIDED  tuple=[y^4, x]",
+        "43: UNDECIDED  tuple=[y^4, x]",
+    ]
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert json.loads(out)["primes"] == [
+        {"prime": "37", "status": "SIGMA_BAD", "witness_denominator": "37"},
+        {"prime": "41", "status": "UNDECIDED", "tuple": "[y^4, x]"},
+        {"prime": "43", "status": "UNDECIDED", "tuple": "[y^4, x]"},
+    ]
+
+
+@pytest.mark.parametrize("command", ["fan", "universal-denominator"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_cones_below_one_exits_2(write, capsys, command, value):
+    code, out, err = run(capsys, command, "--max-cones", value, write(DOUBLING))
+    assert code == 2 and out == ""
+    assert "must be at least 1" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "detect-bad"])

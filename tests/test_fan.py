@@ -17,6 +17,7 @@ from modgb import (
     reduction_universal,
     universal_denominator,
 )
+from modgb import fan as fan_module
 from modgb.fan import _facet_point, _nullspace, _solve_strict, key
 from modgb.orderings import degrevlex, matrix_order
 from modgb.poly import den_of_set
@@ -120,6 +121,17 @@ def test_cone_budget_raises_with_partial_progress():
     with pytest.raises(FanBudgetExceeded) as exc:
         enumerate_fan(I, max_cones=3)
     assert len(exc.value.fan) == 3
+
+
+def test_cone_budget_below_one_is_rejected_before_any_work(monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was computed")
+
+    monkeypatch.setattr(fan_module, "buchberger_reduced", no_basis)
+    R, I = twelve_cone_ideal()
+    for max_cones in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_fan(I, max_cones=max_cones)
 
 
 def test_cached_fan_honours_the_cone_budget():

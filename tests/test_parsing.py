@@ -45,6 +45,11 @@ def test_fractional_and_implicit_coefficients():
     spec, ideals, _ = parse_input("ring QQ[x,y] lex; ideal(4/3x^2y - 2y, x);")
     f = ideals[0].gens[0]
     assert f.terms == {(2, 1): Fraction(4, 3), (0, 1): Fraction(-2)}
+    # like terms merge, and terms that cancel leave no zero coefficient
+    spec, ideals, _ = parse_input("ring QQ[x,y] lex; ideal(x + 2*x - 3*x + y, 1/2*x + 1/2*x);")
+    assert [g.terms for g in ideals[0].gens] == [{(0, 1): 1}, {(1, 0): 1}]
+    spec, ideals, _ = parse_input("ring ZZ/(7)[x,y] lex; ideal(x + 6*x + y, 3*y + 5*y + x);")
+    assert [g.terms for g in ideals[0].gens] == [{(0, 1): 1}, {(0, 1): 1, (1, 0): 1}]
 
 
 def test_empty_ideal_and_multiple_ideals():

@@ -25,15 +25,24 @@ from modgb.pipeline import (
 )
 from modgb.poly import leading, poly_str
 from modgb.primes import SIGMA_BAD, TAU_BAD_CERTIFIED, UNDECIDED
-from modgb.tuples import PRECEDES, precedes
+from modgb.tuples import PRECEDES, LtTuple, precedes
+
+
+def lifted(I, sigma, tau, primes):
+    """A LiftState that has absorbed the F_p bases of the given primes."""
+    bases = [run_prime(I, sigma, tau, p) for p in primes]
+    state = LiftState(LtTuple(tau, bases[0].leading_terms()))
+    for basis in bases:
+        state.absorb(basis)
+    return state
 
 
 def test_run_prime_golden():
     R, I = many_bad_primes_ideal()
     s, t = degrevlex(3), lex(3)
-    run = run_prime(I, s, t, 11)
-    assert run.prime == 11
-    assert run.lt_tuple.render(R.names) == "[z^25, y*z, y^2, x]"
+    basis = run_prime(I, s, t, 11)
+    assert basis[0].ring.domain.characteristic == 11
+    assert LtTuple(t, basis.leading_terms()).render(R.names) == "[z^25, y*z, y^2, x]"
 
 
 def test_run_prime_rejects_sigma_bad():
@@ -45,12 +54,12 @@ def test_run_prime_rejects_sigma_bad():
 def test_lift_state_tracks_modulus_and_residues():
     R, I = chained_doubling_ideal()
     s, t = degrevlex(3), lex(3)
-    r5 = run_prime(I, s, t, 5)
-    r7 = run_prime(I, s, t, 7)
-    state = LiftState(r5.lt_tuple)
-    state.absorb(r5)
+    b5 = run_prime(I, s, t, 5)
+    b7 = run_prime(I, s, t, 7)
+    state = LiftState(LtTuple(t, b5.leading_terms()))
+    state.absorb(b5)
     assert state.modulus == 5
-    state.absorb(r7)
+    state.absorb(b7)
     assert state.modulus == 35
     assert state.primes == [5, 7]
     with pytest.raises(ValueError):
@@ -61,8 +70,7 @@ def test_lift_and_reconstruct_small():
     # <2x - y, 2y - z> under lex: {x - z/4, y - z/2}
     R, I = chained_doubling_ideal()
     s, t = degrevlex(3), lex(3)
-    kept = [run_prime(I, s, t, p) for p in (5, 7, 11)]
-    candidate = lift_and_reconstruct(kept, I, t)
+    candidate = lift_and_reconstruct(lifted(I, s, t, (5, 7, 11)), R.names)
     assert candidate is not None
     rendered = sorted(poly_str(g, t) for g in candidate)
     assert rendered == ["x - 1/4*z", "y - 1/2*z"]
@@ -76,8 +84,7 @@ def test_single_prime_is_not_enough():
     # with modulus 5 the residue for -1/4 cannot reconstruct within the bound
     R, I = chained_doubling_ideal()
     s, t = degrevlex(3), lex(3)
-    kept = [run_prime(I, s, t, 5)]
-    assert lift_and_reconstruct(kept, I, t) is None
+    assert lift_and_reconstruct(lifted(I, s, t, (5,)), R.names) is None
 
 
 def test_monomial_ideal_lifts_from_one_prime():
@@ -85,8 +92,7 @@ def test_monomial_ideal_lifts_from_one_prime():
     x, y = R.gens()
     I = Ideal(R, [x * x, y])
     t = lex(2)
-    kept = [run_prime(I, degrevlex(2), t, 5)]
-    candidate = lift_and_reconstruct(kept, I, t)
+    candidate = lift_and_reconstruct(lifted(I, degrevlex(2), t, (5,)), R.names)
     assert candidate is not None
     assert verify_candidate(candidate, I, t)
     assert sorted(candidate, key=lambda g: t.key(leading(g, t)[0])) == list(
@@ -212,9 +218,9 @@ def test_modular_gb_lifts_each_kept_run_once(monkeypatch):
     absorbed = []
     absorb = LiftState.absorb
 
-    def counting(self, run):
-        absorbed.append(run.prime)
-        absorb(self, run)
+    def counting(self, basis):
+        absorbed.append(basis[0].ring.domain.characteristic)
+        absorb(self, basis)
 
     monkeypatch.setattr(LiftState, "absorb", counting)
     R, I = many_bad_primes_ideal()

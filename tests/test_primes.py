@@ -83,8 +83,12 @@ def test_reduction_names_the_denominator_it_found():
 def test_reduction_needs_rational_coefficients(domain):
     R = PolyRing(domain, ("x", "y"))
     x, y = R.gens()
+    I = Ideal(R, [x * x - y, x * y + R.one()])
     with pytest.raises(ValueError, match="rational"):
-        reduction(Ideal(R, [x * x - y, x * y + R.one()]), degrevlex(2), 11)
+        reduction(I, degrevlex(2), 11)
+    # detection takes only BadPrimeForInput for a sigma-bad prime
+    with pytest.raises(ValueError, match="rational"):
+        detect_tau_bad(I, degrevlex(2), lex(2), [3, 11])
 
 
 def test_reduction_seeds_its_reduced_sigma_basis():
@@ -157,10 +161,11 @@ def test_detect_certifies_relatively_bad_primes():
     assert verdicts[2].evidence["beaten_by"] == verdicts[13].evidence["tuple"]
 
 
-def test_detect_rejects_sigma_bad_input_prime():
+def test_detect_reports_sigma_bad_prime_and_judges_the_rest():
     R, I = chained_doubling_ideal()
-    with pytest.raises(ValueError):
-        detect_tau_bad(I, degrevlex(3), lex(3), [2, 3])
+    verdicts = detect_tau_bad(I, degrevlex(3), lex(3), [2, 3])
+    assert [(v.prime, v.status) for v in verdicts] == [(2, SIGMA_BAD), (3, UNDECIDED)]
+    assert verdicts[0].evidence["witness_denominator"] % 2 == 0
 
 
 def test_all_equal_tuples_reject_nothing():
