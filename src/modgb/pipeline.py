@@ -26,13 +26,14 @@ DEFAULT_MAX_PRIMES = 64
 class LiftState:
     """CRT lift of the F_p bases that hold one committed tuple."""
 
-    __slots__ = ("lt_tuple", "modulus", "table", "primes")
+    __slots__ = ("lt_tuple", "modulus", "table", "primes", "failed")
 
     def __init__(self, lt_tuple):
         self.lt_tuple = lt_tuple
         self.modulus = 1
         self.table = {}  # (element index, pp) -> residue mod modulus
         self.primes = []
+        self.failed = None  # the table key whose reconstruction failed last
 
     def absorb(self, basis):
         """Lift one more reduced tau-basis over F_p into the table."""
@@ -59,13 +60,24 @@ def run_prime(I, sigma, tau, p):
 
 def lift_and_reconstruct(state, names):
     """Candidate rational basis from the lift, in the committed tuple's order,
-    or None when some coefficient needs more primes."""
-    terms = [[] for _ in state.lt_tuple]
-    for (i, pp), residue in state.table.items():
-        c = rational_reconstruct(residue, state.modulus)
-        if c is None:
+    or None when some coefficient needs more primes.
+
+    The coefficient that failed last is tried first, so a repeated failure
+    costs one reconstruction.
+    """
+    table, m, first = state.table, state.modulus, state.failed
+    c_first = None
+    if first in table:
+        c_first = rational_reconstruct(table[first], m)
+        if c_first is None:
             return None
-        terms[i].append((pp, c))
+    terms = [[] for _ in state.lt_tuple]
+    for key, residue in table.items():
+        c = c_first if key == first else rational_reconstruct(residue, m)
+        if c is None:
+            state.failed = key
+            return None
+        terms[key[0]].append((key[1], c))
     ring = PolyRing(QQ, names)
     return [ring.from_terms(t) for t in terms]
 

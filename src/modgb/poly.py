@@ -373,9 +373,11 @@ class Ideal:
     It caches what is computed from it: reduced Groebner bases per ordering,
     its Groebner fan per traversal budget (fan._cached_fan) and its reduction
     tuples (primes.reduction_tuple).  The caches live and die with the ideal.
-    A basis may also be seeded from outside when it is known to be the
-    reduced one: a reduction mod p (primes.reduction and
-    fan.reduction_universal) holds the basis it was built from, mod p.
+    The generators are used at most once, for the degrevlex basis (see
+    reduced_gb); every other basis is computed from a cached one.  A basis
+    may also be seeded from outside when it is known to be the reduced one:
+    a reduction mod p (primes.reduction and fan.reduction_universal) holds
+    the basis it was built from, mod p.
     """
 
     def __init__(self, ring, gens):
@@ -391,17 +393,30 @@ class Ideal:
     def reduced_gb(self, sigma):
         """Reduced sigma-Groebner basis (memoized; the expensive step).
 
-        On a cache miss it is converted by FGLM from a cached basis of a
-        zero-dimensional ideal when there is one, and computed by Buchberger
-        from the generators otherwise.
+        Every basis starts from a cached one: a cached basis of a
+        zero-dimensional ideal when there is one, else the degrevlex basis,
+        which is computed by Buchberger from the generators and cached
+        first.  A zero-dimensional start is converted by FGLM; any other
+        seeds a sigma-Buchberger run with its elements.
         """
         key = sigma.canonical()
         basis = self._gb_cache.get(key)
         if basis is None:
             from .gb_field import buchberger_reduced, fglm, is_zero_dimensional
+            from .orderings import degrevlex
 
             known = next((G for G in self._gb_cache.values() if is_zero_dimensional(G)), None)
-            basis = fglm(known, sigma) if known else buchberger_reduced(self.gens, sigma)
+            if known is None:
+                drl = degrevlex(self.ring.n)
+                known = self._gb_cache.get(drl.canonical())
+                if known is None:
+                    known = self._gb_cache[drl.canonical()] = buchberger_reduced(self.gens, drl)
+            if known.ordering == sigma:
+                basis = known
+            elif is_zero_dimensional(known):
+                basis = fglm(known, sigma)
+            else:
+                basis = buchberger_reduced(known.elements, sigma)
             self._gb_cache[key] = basis
         return basis
 

@@ -1,9 +1,12 @@
-"""Shared builders for the worked examples used across the test suite."""
+"""Shared builders for the worked examples used across the test suite, and
+a fixture that logs the engine calls of Ideal.reduced_gb."""
 
 import time
 from fractions import Fraction
 
-from modgb import GF, Ideal, PolyRing, QQ, ZZ
+import pytest
+
+from modgb import GF, Ideal, PolyRing, QQ, ZZ, gb_field
 from modgb.orderings import degrevlex, elim, lex
 
 
@@ -120,3 +123,23 @@ def timed(bound):
                 assert time.monotonic() - self.t0 < bound
 
     return _T()
+
+
+@pytest.fixture()
+def engine_calls(monkeypatch):
+    """The engine calls that Ideal.reduced_gb makes, in order:
+    ("bb", sigma) for buchberger_reduced and ("fglm", sigma, tau)."""
+    calls = []
+    bb, fglm = gb_field.buchberger_reduced, gb_field.fglm
+
+    def traced_bb(gens, sigma, *args, **kwargs):
+        calls.append(("bb", sigma))
+        return bb(gens, sigma, *args, **kwargs)
+
+    def traced_fglm(G, tau):
+        calls.append(("fglm", G.ordering, tau))
+        return fglm(G, tau)
+
+    monkeypatch.setattr(gb_field, "buchberger_reduced", traced_bb)
+    monkeypatch.setattr(gb_field, "fglm", traced_fglm)
+    return calls

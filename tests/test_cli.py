@@ -1,5 +1,6 @@
 """Command-line interface: goldens, JSON schema, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,34 @@ def test_gb_with_order_flag(write, capsys):
     code, out, _ = run(capsys, "gb", "--order", "lex", write(DOUBLING))
     assert code == 0
     assert out.strip() == "[x - 1/4*z, y - 1/2*z]"
+
+
+MANYBAD_LEX = "ring QQ[x,y,z] lex;\nideal(x^2*y + 7*x*y^2 - 2, y^3 + x^2*z, z^3 + x^2 - y);\n"
+# The lex basis of the many-bad-primes ideal prints 8225 characters; the
+# digest pins all of them, the last element is spelled out.
+MANYBAD_LEX_SHA256 = "956c707e07151c98ca512e6ec19127837561e08880049dd131f2fec4ed46e49a"
+MANYBAD_LEX_LAST = (
+    ", z^26 + 117649*z^25 + 49*z^24 + 28812*z^21 + 16*z^20 - 196*z^18 + 1764*z^17"
+    " + 9604*z^16 + 67232*z^15 + 80*z^14 + 16*z^13 - 1176*z^12 + 8624*z^11"
+    " + 67228*z^10 + 32*z^9 + 128*z^8 - 68*z^7 + 2352*z^6 + 15092*z^5 + 4*z^4"
+    " + 32*z^3 + 96*z^2 + 128*z + 64]\n"
+)
+MANYBAD_LEX_RAD = (
+    "rad(den) = 1577196049018615416910149161817345198512834060799701284382278522715195786\n"
+    "rad(lcm) = 1577196049018615416910149161817345198512834060799701284382278522715195786\n"
+    "equal\n"
+)
+
+
+def test_lex_goldens_of_the_many_bad_primes_ideal(write, capsys):
+    path = write(MANYBAD_LEX)
+    code, out, _ = run(capsys, "gb", "--order", "lex", path)
+    assert code == 0
+    assert out.endswith(MANYBAD_LEX_LAST)
+    assert hashlib.sha256(out.encode()).hexdigest() == MANYBAD_LEX_SHA256
+    code, out, _ = run(capsys, "rad-check", "--order", "lex", path)
+    assert code == 0
+    assert out == MANYBAD_LEX_RAD
 
 
 def test_universal_denominator_golden(write, capsys):

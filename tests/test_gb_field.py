@@ -317,6 +317,34 @@ def test_reduced_gb_converts_a_cached_zero_dimensional_basis(monkeypatch):
     assert converted == [lex(3)]
 
 
+@pytest.mark.parametrize(
+    "make", [many_bad_primes_ideal, twelve_cone_ideal], ids=["many_bad_primes", "twelve_cone"]
+)
+def test_reduced_gb_reaches_lex_through_the_degrevlex_basis(make, engine_calls):
+    R, I = make()
+    s, t = degrevlex(3), lex(3)
+    G = I.reduced_gb(t)
+    assert engine_calls == [("bb", s), ("fglm", s, t)]
+    D = I.reduced_gb(s)
+    assert len(engine_calls) == 2
+    assert G == buchberger_reduced(I.gens, t)
+    assert D == buchberger_reduced(I.gens, s)
+
+
+def test_reduced_gb_of_the_unit_and_zero_ideals(engine_calls):
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    G = Ideal(R, [x, x + R.one()]).reduced_gb(lex(2))
+    assert list(G) == [R.one()] and G.ordering == lex(2)
+    assert engine_calls == [("bb", degrevlex(2)), ("bb", lex(2))]
+    del engine_calls[:]
+    Z = Ideal(R, [R.zero()])
+    G = Z.reduced_gb(lex(2))
+    assert list(G) == [] and G.ordering == lex(2)
+    assert list(Z.reduced_gb(degrevlex(2))) == []
+    assert engine_calls == [("bb", degrevlex(2)), ("bb", lex(2))]
+
+
 def test_fglm_of_the_unit_ideal():
     R = ring_qq("x", "y")
     x, y = R.gens()

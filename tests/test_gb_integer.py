@@ -165,6 +165,20 @@ def test_family_strong_bases_keep_their_invariants():
         assert lcm_sigma(B) == lcm
 
 
+# check_rad_identity under lex on two family members, from a fresh ideal:
+# the lex basis comes by FGLM from the degrevlex basis.  Measured at about
+# 0.3-0.4 s and 1.5-1.7 s on a noisy shared x86-64 host; most of the rest
+# is arith.rad.
+@pytest.mark.parametrize(
+    "member, bound", [((5, 4, 2), 1.5), ((6, 3, 3), 5.0)], ids=["5-4-2", "6-3-3"]
+)
+def test_family_rad_identity_under_lex_is_timed(member, bound):
+    a, b, c = member
+    spec, ideals, _ = parse_input(FAMILY.format(a=a, b=b, c=c))
+    with timed(bound):
+        assert check_rad_identity(ideals[0], spec.ordering)[2]
+
+
 # Instance #104 of the rad_identity property suite (random.Random(101)): its
 # strong basis once took six minutes.
 RAD_104 = (

@@ -20,7 +20,6 @@ from modgb import (
     check_rad_identity,
     classify_prime,
     detect_tau_bad,
-    gb_field,
     prim,
 )
 from modgb.gb_field import is_zero_dimensional
@@ -102,15 +101,19 @@ def test_reduction_seeds_its_reduced_sigma_basis():
             assert red.reduced_gb(s) == buchberger_reduced(red.gens, s), p
 
 
-def test_positive_dimensional_reduction_runs_buchberger(monkeypatch):
-    def no_fglm(G, tau):
-        raise AssertionError("fglm called on a positive-dimensional ideal")
-
-    monkeypatch.setattr(gb_field, "fglm", no_fglm)
+def test_positive_dimensional_reduction_runs_buchberger(engine_calls):
+    # with no zero-dimensional basis cached, every basis is computed from the
+    # degrevlex one, itself computed from the generators
     R, J, sigma, tau = graph_ideal_six_vars()
-    red = reduction(J, sigma, 7)
-    assert not is_zero_dimensional(red.reduced_gb(sigma))
-    assert len(red.reduced_gb(tau)) > 0
+    s = degrevlex(6)
+    for p in (None, 2, 3, 5, 7):
+        I, o = (J, sigma) if p is None else (reduction(J, sigma, p), tau)
+        if p is not None:
+            assert not is_zero_dimensional(I.reduced_gb(sigma))
+        del engine_calls[:]
+        G = I.reduced_gb(o)
+        assert engine_calls == [("bb", s), ("bb", o)], p
+        assert G == buchberger_reduced(I.gens, o), p
 
 
 def test_pauer_luckiness_can_be_strictly_stronger():
