@@ -86,9 +86,15 @@ def _int_at_least(low):
     return parse
 
 
-def _budget():
+def _budget(parser):
+    """The fan traversal's reduction budget from MGB_BUDGET; unset or empty
+    means the default, and anything but a positive integer is a usage error."""
     raw = os.environ.get("MGB_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    if not (raw.isdecimal() and int(raw) > 0):
+        parser.error("MGB_BUDGET must be a positive integer, got %r" % raw)
+    return int(raw)
 
 
 def _emit(args, payload, text):
@@ -224,7 +230,7 @@ def _cmd_fan(args):
     spec, I = _read_input(args.file)
     if spec.domain is not QQ:
         raise ValueError("fan needs rational coefficients")
-    fan = enumerate_fan(I, max_cones=args.max_cones, budget=_budget())
+    fan = enumerate_fan(I, max_cones=args.max_cones, budget=args.budget)
     records = []
     lines = []
     for i, cone in enumerate(fan.cones):
@@ -248,7 +254,7 @@ def _cmd_universal_denominator(args):
     spec, I = _read_input(args.file)
     if spec.domain is not QQ:
         raise ValueError("universal-denominator needs rational coefficients")
-    fan = enumerate_fan(I, max_cones=args.max_cones, budget=_budget())
+    fan = enumerate_fan(I, max_cones=args.max_cones, budget=args.budget)
     delta = fan.denominator()
     _emit(
         args,
@@ -348,6 +354,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("fan", "universal-denominator"):
+            args.budget = _budget(parser)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -3,9 +3,11 @@ ordering-free reduction modulo a prime.
 
 A cone is represented by its reduced basis, a ReducedGB whose leading terms
 mark it.  Traversal starts from the degrevlex cone and flips facets: for a
-facet with primitive normal v we pick a rational weight w in its relative
-interior by Fourier-Motzkin back-substitution and recompute the reduced
-basis under the matrix ordering [w; -v; degrevlex rows].
+facet with primitive normal v we pick an integer weight w in its relative
+interior and recompute the reduced basis under the matrix ordering
+[w; -v; degrevlex rows].  Every row of the facet system is an integer
+vector, and Fourier-Motzkin elimination keeps it one; only the
+back-substitution that picks w works with Fractions.
 """
 
 import math
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .arith import lcm as int_lcm
 from .gb_field import BudgetExceeded, _Counter, buchberger_reduced, normal_form
-from .orderings import _degrevlex_rows, _nullspace, degrevlex, matrix_order
+from .orderings import _degrevlex_rows, degrevlex, matrix_order
 from .poly import den_of_set
 from .primes import _reduce_basis
 
@@ -52,23 +54,21 @@ class Fan:
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility (Fourier-Motzkin with back-substitution)
+# exact linear feasibility over ZZ (Fourier-Motzkin with back-substitution)
 
 
-def _normalize_ineq(a):
-    """Scale a rational coefficient vector to coprime integers, keeping sign."""
-    den = 1
-    for x in a:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in a]
-    g = math.gcd(*(abs(x) for x in ints)) if any(ints) else 1
-    return tuple(Fraction(x, g) for x in ints)
+def _primitive(a):
+    """The integer vector a divided by the gcd of its entries, sign kept."""
+    g = math.gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
 def _solve_strict(ineqs, d):
-    """A point y with a . y > 0 for all a (each a of length d), or None."""
+    """A primitive integer point y with a . y > 0 for every integer row a
+    (each of length d), or None.  Elimination keeps the rows integral;
+    only the back-substitution uses Fractions."""
     systems = [None] * (d + 1)
-    cur = list({_normalize_ineq(a) for a in ineqs})
+    cur = list({_primitive(a) for a in ineqs})
     for k in range(d, 0, -1):
         if any(not any(a) for a in cur):
             return None
@@ -83,7 +83,7 @@ def _solve_strict(ineqs, d):
                 nxt.append(
                     tuple(a[k - 1] * b[i] - b[k - 1] * a[i] for i in range(k - 1))
                 )
-        cur = list({_normalize_ineq(a) for a in nxt})
+        cur = list({_primitive(a) for a in nxt})
     if d == 0:
         return [] if not ineqs else None
     scalars = [a[0] for a in systems[1]]
@@ -113,34 +113,38 @@ def _solve_strict(ineqs, d):
             y.append(lower + 1)
         else:
             y.append((lower + upper) / 2)
-    return y
+    # the system is homogeneous, so any positive multiple of y solves it
+    den = math.lcm(*(x.denominator for x in y))
+    return list(_primitive([x.numerator * (den // x.denominator) for x in y]))
 
 
 def _facet_point(vectors, v, n):
     """Strictly positive integer weight w with w.v = 0 and w.u > 0 for the
-    other cone vectors, or None when the facet system is infeasible."""
-    basis = _nullspace([v], n)
-    d = len(basis)
+    other cone vectors, or None when the facet system is infeasible.
+
+    With c the first nonzero entry of v, the plane w.v = 0 has the integer
+    basis b_j = sgn(v_c) (v_c e_j - v_j e_c), j != c, so every row of the
+    projected system is an integer vector.
+    """
+    c = next(j for j, x in enumerate(v) if x)
+    vc, sign = abs(v[c]), (1 if v[c] > 0 else -1)
+    free = [j for j in range(n) if j != c]
     stricts = [u for u in vectors if u != v]
     stricts += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     ineqs = []
     for u in stricts:
-        a = tuple(
-            Fraction(sum(bv[j] * u[j] for j in range(n))) for bv in basis
-        )
+        a = tuple(vc * u[j] - sign * v[j] * u[c] for j in free)
         if not any(a):
             return None
         ineqs.append(a)
-    y = _solve_strict(ineqs, d)
+    y = _solve_strict(ineqs, n - 1)
     if y is None:
         return None
-    w = [sum(y[i] * basis[i][j] for i in range(d)) for j in range(n)]
-    den = 1
-    for x in w:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    w = [int(x * den) for x in w]
-    g = math.gcd(*(abs(x) for x in w))
-    return [x // g for x in w]
+    w = [0] * n
+    for yj, j in zip(y, free):
+        w[j] += vc * yj
+        w[c] -= sign * v[j] * yj
+    return list(_primitive(w))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +164,7 @@ def cone_vectors(G):
         for t in g.terms:
             if t == lt:
                 continue
-            v = tuple(a - b for a, b in zip(lt, t))
-            d = math.gcd(*(abs(x) for x in v))
-            vs.add(tuple(x // d for x in v))
+            vs.add(_primitive(tuple(a - b for a, b in zip(lt, t))))
     return vs
 
 

@@ -137,13 +137,13 @@ def _reduce(work, reducers, counter=None, full=True, on_step=None):
     return out if full else terms
 
 
-def normal_form(f, G, sigma, counter=None):
+def normal_form(f, G, sigma):
     """Full normal form of f against the basis G (deterministic reducer choice)."""
     basis = G.elements if isinstance(G, ReducedGB) else list(G)
     if not basis:
         return f
     work = _Work(dict(f.terms), sigma.key, f.ring.domain.characteristic)
-    return Polynomial(f.ring, _reduce(work, _reducers(basis, sigma), counter))
+    return Polynomial(f.ring, _reduce(work, _reducers(basis, sigma)))
 
 
 def _divide(work, reducers, row, reps, counter=None, full=True):

@@ -121,12 +121,11 @@ class MatrixOrder(TermOrdering):
         self._validate()
 
     def _validate(self):
+        # the integer rows are positive multiples of the rows: same signs, same rank
         for j in range(self.n):
-            col = [row[j] for row in self.rows]
-            first = next((w for w in col if w != 0), None)
-            if first is None or first < 0:
+            if next((row[j] for row in self._int_rows if row[j]), 0) < 1:
                 raise ValueError("indeterminate %d is not greater than 1" % j)
-        if _nullspace(self.rows, self.n):
+        if _rank(self._int_rows) < self.n:
             raise ValueError("ordering matrix is rank deficient")
 
     def key(self, pp):
@@ -145,32 +144,26 @@ def _integer_row(row):
     return tuple(int(w * d) for w in row)
 
 
-def _nullspace(rows, n):
-    """Basis of {w : row . w = 0 for every row}, as lists of Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+def _rank(rows):
+    """Rank of an integer matrix by Bareiss fraction-free elimination.
+
+    After each step the entries are minors of the input, so every division
+    by the previous pivot is exact and the entries stay small.
+    """
+    m = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(top[c] * x - f * t) // prev for x, t in zip(m[i], top)]
+        prev = top[c]
+        rank += 1
+    return rank
 
 
 def _degrevlex_rows(indices, n):

@@ -95,14 +95,9 @@ class PrimeField:
 QQ = _Rationals()
 ZZ = _Integers()
 
-_FP_CACHE = {}
-
 
 def GF(p):
-    dom = _FP_CACHE.get(p)
-    if dom is None:
-        dom = _FP_CACHE[p] = PrimeField(p)
-    return dom
+    return PrimeField(p)
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +352,15 @@ def prim(f, sigma):
 
 def reduce_mod_p(f, p):
     """Coefficientwise image of f in F_p; raises BadPrimeForInput if p | den(f)."""
-    dom = GF(p)
-    ring = PolyRing(dom, f.ring.names)
-    d = {}
-    for pp, c in f.terms.items():
-        c2 = dom.coerce(c)
-        if c2:
-            d[pp] = c2
-    return Polynomial(ring, d)
+    return PolyRing(GF(p), f.ring.names).from_terms(f.terms.items())
 
 
 class Ideal:
     """An ideal given by generators.
 
-    It caches what is computed from it: reduced Groebner bases per ordering,
-    its Groebner fan per traversal budget (fan._cached_fan) and its reduction
-    tuples (primes.reduction_tuple).  The caches live and die with the ideal.
+    It caches what is computed from it: reduced Groebner bases per ordering
+    and its Groebner fan per traversal budget (fan._cached_fan).  The caches
+    live and die with the ideal.
     The generators are used at most once, for the degrevlex basis (see
     reduced_gb); every other basis is computed from a cached one.  A basis
     may also be seeded from outside when it is known to be the reduced one:
@@ -388,7 +376,6 @@ class Ideal:
         self.gens = gens
         self._gb_cache = {}
         self._fan_cache = {}
-        self._tuple_cache = {}
 
     def reduced_gb(self, sigma):
         """Reduced sigma-Groebner basis (memoized; the expensive step).

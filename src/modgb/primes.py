@@ -14,7 +14,6 @@ from .poly import (
     den_of_set,
     leading,
     prim,
-    reduce_mod_p,
 )
 
 SIGMA_GOOD = "SIGMA_GOOD"
@@ -68,8 +67,9 @@ def _reduce_basis(I, G, p):
     takes the same steps over ZZ localized at p as over QQ, and its standard
     representation survives the reduction mod p.
     """
-    gens = [reduce_mod_p(g, p) for g in G]
-    J = Ideal(PolyRing(GF(p), I.ring.names), gens)
+    ring = PolyRing(GF(p), I.ring.names)
+    gens = [ring.from_terms(g.terms.items()) for g in G]
+    J = Ideal(ring, gens)
     J._gb_cache[G.ordering.canonical()] = ReducedGB(G.ordering, gens)
     return J
 
@@ -98,15 +98,10 @@ def pauer_lucky(F, sigma, p):
 
 
 def reduction_tuple(I, sigma, tau, p):
-    """O_tau of the (p, sigma)-reduction of I, computed purely modulo p
-    (memoized on I)."""
+    """O_tau of the (p, sigma)-reduction of I, computed purely modulo p."""
     from .tuples import os_of_ideal
 
-    key = (p, sigma.canonical(), tau.canonical())
-    t = I._tuple_cache.get(key)
-    if t is None:
-        t = I._tuple_cache[key] = os_of_ideal(reduction(I, sigma, p), tau)
-    return t
+    return os_of_ideal(reduction(I, sigma, p), tau)
 
 
 def tau_bad_verdict(p, t, best):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from modgb import fan as fan_module
 from modgb.cli import main
 
 LINEAR = "ring QQ[x,y,z] degrevlex;\nideal(x + 2*z, x + 2*y);\n"
@@ -235,6 +236,25 @@ def test_max_cones_below_one_exits_2(write, capsys, command, value):
     code, out, err = run(capsys, command, "--max-cones", value, write(DOUBLING))
     assert code == 2 and out == ""
     assert "must be at least 1" in err
+
+
+@pytest.mark.parametrize("command", ["fan", "universal-denominator"])
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_bad_reduction_budget_exits_2_before_any_work(write, capsys, monkeypatch, command, value):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was computed")
+
+    monkeypatch.setattr(fan_module, "buchberger_reduced", no_basis)
+    monkeypatch.setenv("MGB_BUDGET", value)
+    code, out, err = run(capsys, command, write(DELTONE))
+    assert code == 2 and out == ""
+    assert "MGB_BUDGET must be a positive integer, got '%s'" % value in err
+
+
+def test_empty_reduction_budget_means_the_default(write, capsys, monkeypatch):
+    monkeypatch.setenv("MGB_BUDGET", "")
+    code, out, _ = run(capsys, "universal-denominator", write(DELTONE))
+    assert code == 0 and out.strip() == "28 = 2^2 * 7"
 
 
 @pytest.mark.parametrize("command", ["classify", "detect-bad"])

@@ -1,7 +1,7 @@
 """Groebner fan traversal, universal denominators, ordering-free reduction."""
 
+import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -18,7 +18,7 @@ from modgb import (
     universal_denominator,
 )
 from modgb import fan as fan_module
-from modgb.fan import _facet_point, _nullspace, _solve_strict, key
+from modgb.fan import _facet_point, _solve_strict, cone_vectors, key
 from modgb.orderings import degrevlex, matrix_order
 from modgb.poly import den_of_set
 
@@ -155,24 +155,16 @@ def test_zero_ideal_rejected_for_delta():
 # -- the exact linear solver backing facet detection -----------------------
 
 
-def test_nullspace():
-    basis = _nullspace([(1, -1, 0)], 3)
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] - v[1] == 0
-
-
 def test_solve_strict_feasible():
     # y1 > 0 and y1 + y2 > 0 and -y2 + 2 y1 > 0
-    sol = _solve_strict([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
-                         (Fraction(2), Fraction(-1))], 2)
+    sol = _solve_strict([(1, 0), (1, 1), (2, -1)], 2)
     assert sol is not None
     y1, y2 = sol
     assert y1 > 0 and y1 + y2 > 0 and 2 * y1 - y2 > 0
 
 
 def test_solve_strict_infeasible():
-    sol = _solve_strict([(Fraction(1),), (Fraction(-1),)], 1)
+    sol = _solve_strict([(1,), (-1,)], 1)
     assert sol is None
 
 
@@ -190,3 +182,21 @@ def test_facet_point_infeasible_for_interior_vector():
     # -v is also required strictly positive: impossible
     vectors = {(1, 0), (-1, 0), (0, 1)}
     assert _facet_point(vectors, (1, 0), 2) is None
+
+
+# SHA-256 of the twelve-cone traversal: for each cone in traversal order, its
+# ordering's canonical form, then each sorted candidate vector v with the
+# facet point found for it (None for a vector that spans no facet)
+TWELVE_CONE_FACETS_SHA256 = "f52c413a661e304ddf3dee31ce1b614607b6c4d82f1c2a425cef913cef618ae0"
+
+
+def test_twelve_cone_facet_points_are_pinned():
+    R, I = twelve_cone_ideal()
+    lines = []
+    for cone in enumerate_fan(I).cones:
+        vectors = cone_vectors(cone)
+        lines.append(repr(cone.ordering.canonical()))
+        lines += ["%s -> %s" % (v, _facet_point(vectors, v, 3)) for v in sorted(vectors)]
+    assert len(lines) == 102
+    assert lines[:3] == ["('degrevlex', 3)", "(-1, 0, 2) -> [22, 24, 11]", "(-1, 2, -1) -> [11, 12, 13]"]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TWELVE_CONE_FACETS_SHA256

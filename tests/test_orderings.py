@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from modgb.fan import _flip_ordering
-from modgb.orderings import deglex, degrevlex, elim, lex, matrix_order
+from modgb.orderings import _degrevlex_rows, _rank, deglex, degrevlex, elim, lex, matrix_order
 
 
 def test_lex_basic():
@@ -108,6 +108,43 @@ def test_matrix_order_realizes_degrevlex():
 def test_matrix_order_rejects_rank_deficiency():
     with pytest.raises(ValueError):
         matrix_order([[1, 1], [2, 2]], 2)
+    # every indeterminate positive, yet the third row is the sum of the others
+    with pytest.raises(ValueError, match="rank deficient"):
+        matrix_order([[1, 1, 1], [1, 2, 3], [2, 3, 4]], 3)
+    with pytest.raises(ValueError, match="rank deficient"):
+        matrix_order([["1/2", "1/3"], [3, 2]], 2)
+
+
+def test_rank_matches_sympy():
+    import sympy
+
+    rng = random.Random(23)
+
+    def entries(r, c, lo=-9, hi=9):
+        return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
+
+    cases = []
+    for _ in range(150):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(entries(r, c))
+        # a product through k < min(r, c) dimensions has rank at most k
+        k = rng.randint(1, min(r, c))
+        A, B = entries(r, k, -4, 4), entries(k, c, -4, 4)
+        cases.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A])
+        # zero columns
+        m = entries(r, c)
+        for j in rng.sample(range(c), rng.randint(1, c)):
+            for row in m:
+                row[j] = 0
+        cases.append(m)
+    # the (n+2) x n shape of a facet flip: [w; -v; degrevlex rows]
+    for n in range(2, 7):
+        for _ in range(20):
+            w = [rng.randint(1, 30) for _ in range(n)]
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            cases.append([w, [-x for x in v]] + _degrevlex_rows(list(range(n)), n))
+    for m in cases:
+        assert _rank(m) == sympy.Matrix(m).rank()
 
 
 def test_matrix_order_rejects_non_term_order():

@@ -38,7 +38,7 @@ def test_parse_deltone_input():
 
 def test_coefficient_domains():
     assert parse_input("ring ZZ[x] lex; ideal(2*x);")[0].domain is ZZ
-    assert parse_input("ring ZZ/(7)[x] lex; ideal(x);")[0].domain is GF(7)
+    assert parse_input("ring ZZ/(7)[x] lex; ideal(x);")[0].domain == GF(7)
 
 
 def test_fractional_and_implicit_coefficients():
