@@ -7,7 +7,8 @@ import random
 import sys
 
 from .arith import factor, is_prime
-from .fan import DEFAULT_BUDGET, DEFAULT_MAX_CONES, enumerate_fan, FanBudgetExceeded
+from .fan import DEFAULT_BUDGET, DEFAULT_MAX_CONES, FanBudgetExceeded
+from .fan import enumerate_fan, universal_denominator
 from .gb_field import normal_form
 from .gb_integer import lcm_sigma, strong_gb
 from .orderings import degrevlex
@@ -254,8 +255,7 @@ def _cmd_universal_denominator(args):
     spec, I = _read_input(args.file)
     if spec.domain is not QQ:
         raise ValueError("universal-denominator needs rational coefficients")
-    fan = enumerate_fan(I, max_cones=args.max_cones, budget=args.budget)
-    delta = fan.denominator()
+    delta = universal_denominator(I, max_cones=args.max_cones, budget=args.budget)
     _emit(
         args,
         {"delta": str(delta), "factorization": _factored(delta)},

@@ -4,10 +4,10 @@ ordering-free reduction modulo a prime.
 A cone is represented by its reduced basis, a ReducedGB whose leading terms
 mark it.  Traversal starts from the degrevlex cone and flips facets: for a
 facet with primitive normal v we pick an integer weight w in its relative
-interior and recompute the reduced basis under the matrix ordering
-[w; -v; degrevlex rows].  Every row of the facet system is an integer
-vector, and Fourier-Motzkin elimination keeps it one; only the
-back-substitution that picks w works with Fractions.
+interior and convert the cone's basis to the matrix ordering [w; -v;
+degrevlex rows] by gb_field._convert (FGLM when I is zero-dimensional),
+once per edge.  The facet system's rows are integer vectors, which
+Fourier-Motzkin keeps integral; only the back-substitution uses Fractions.
 """
 
 import math
@@ -15,7 +15,7 @@ from collections import deque
 from fractions import Fraction
 
 from .arith import lcm as int_lcm
-from .gb_field import BudgetExceeded, _Counter, buchberger_reduced, normal_form
+from .gb_field import BudgetExceeded, _Counter, _convert, buchberger_reduced, normal_form
 from .orderings import _degrevlex_rows, degrevlex, matrix_order
 from .poly import den_of_set
 from .primes import _reduce_basis
@@ -179,7 +179,7 @@ def key(G):
 
 
 def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
-    """The reduced bases of all cones of I, found by facet flips from degrevlex."""
+    """The reduced bases of all cones of I, by facet flips from degrevlex, one per edge."""
     if max_cones < 1:
         raise ValueError("max_cones must be at least 1, got %s" % max_cones)
     n = I.ring.n
@@ -188,44 +188,45 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     cones = []
     adjacency = {}
     index = {}
+    flipped = set()
 
     def partial(msg):
         return FanBudgetExceeded(msg, Fan(I, cones, adjacency))
 
     try:
         seed = buchberger_reduced(I.gens, sigma0, counter=counter)
+        cones.append(seed)
+        adjacency[0] = set()
+        index[key(seed)] = 0
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            cone = cones[i]
+            vectors = cone_vectors(cone)
+            for v in sorted(vectors):
+                if (i, v) in flipped:
+                    continue
+                w = _facet_point(vectors, v, n)
+                if w is None:
+                    continue
+                tau = _flip_ordering(w, v, n)
+                nb = _convert(cone, tau, counter)
+                nb_key = key(nb)
+                k = index.get(nb_key)
+                if k is None:
+                    if len(cones) >= max_cones:
+                        raise partial("cone budget of %d exhausted" % max_cones)
+                    k = len(cones)
+                    cones.append(nb)
+                    adjacency[k] = set()
+                    index[nb_key] = k
+                    queue.append(k)
+                if k != i:
+                    adjacency[i].add(k)
+                    adjacency[k].add(i)
+                    flipped.add((k, tuple(-x for x in v)))
     except BudgetExceeded:
-        raise partial("reduction budget exhausted on the seed basis") from None
-    cones.append(seed)
-    adjacency[0] = set()
-    index[key(seed)] = 0
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        cone = cones[i]
-        vectors = cone_vectors(cone)
-        for v in sorted(vectors):
-            w = _facet_point(vectors, v, n)
-            if w is None:
-                continue
-            tau = _flip_ordering(w, v, n)
-            try:
-                nb = buchberger_reduced(cone.elements, tau, counter=counter)
-            except BudgetExceeded:
-                raise partial("reduction budget exhausted during traversal") from None
-            nb_key = key(nb)
-            k = index.get(nb_key)
-            if k is None:
-                if len(cones) >= max_cones:
-                    raise partial("cone budget of %d exhausted" % max_cones)
-                k = len(cones)
-                cones.append(nb)
-                adjacency[k] = set()
-                index[nb_key] = k
-                queue.append(k)
-            if k != i:
-                adjacency[i].add(k)
-                adjacency[k].add(i)
+        raise partial("reduction budget of %d exhausted" % budget) from None
     return Fan(I, cones, adjacency)
 
 

@@ -295,9 +295,9 @@ def is_zero_dimensional(G):
     return bool(G.elements) and len(pure) == G[0].ring.n
 
 
-def fglm(G, tau):
+def fglm(G, tau, counter=None):
     """The reduced tau-basis of a zero-dimensional ideal from its reduced
-    basis G (Faugere-Gianni-Lazard-Mora change of ordering).
+    basis G (Faugere-Gianni-Lazard-Mora change of ordering), budgeted by counter.
 
     Monomials are visited in increasing tau order, skipping multiples of the
     tau-leading terms found so far.  The G-normal form of x_i * m is that of
@@ -337,7 +337,7 @@ def fglm(G, tau):
             start = {one: dom.one}
         else:
             start = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in nfs[parent].items()}
-        nf = _reduce(_Work(start, sigma.key, p), reducers)
+        nf = _reduce(_Work(start, sigma.key, p), reducers, counter)
         v, comb = dict(nf), {m: dom.one}
         for pivot, w, cw in rows:
             f = v.get(pivot)
@@ -358,6 +358,15 @@ def fglm(G, tau):
                 seen.add(u)
                 heapq.heappush(heap, (tau.key(u), u, m, j))
     return ReducedGB(tau, elements)
+
+
+def _convert(G, tau, counter=None):
+    """The reduced tau-basis of G's ideal: by FGLM if G is zero-dimensional, else Buchberger."""
+    if G.ordering == tau:
+        return G
+    if is_zero_dimensional(G):
+        return fglm(G, tau, counter)
+    return buchberger_reduced(G.elements, tau, counter=counter)
 
 
 def min_lt(G):

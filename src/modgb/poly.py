@@ -362,10 +362,11 @@ class Ideal:
     and its Groebner fan per traversal budget (fan._cached_fan).  The caches
     live and die with the ideal.
     The generators are used at most once, for the degrevlex basis (see
-    reduced_gb); every other basis is computed from a cached one.  A basis
-    may also be seeded from outside when it is known to be the reduced one:
-    a reduction mod p (primes.reduction and fan.reduction_universal) holds
-    the basis it was built from, mod p.
+    reduced_gb); every other basis is converted from a cached one, as a
+    fan flip converts a cone's.  A basis may also be seeded from outside
+    when it is known to be the reduced one: a reduction mod p
+    (primes.reduction and fan.reduction_universal) holds the basis it was
+    built from, mod p.
     """
 
     def __init__(self, ring, gens):
@@ -380,16 +381,15 @@ class Ideal:
     def reduced_gb(self, sigma):
         """Reduced sigma-Groebner basis (memoized; the expensive step).
 
-        Every basis starts from a cached one: a cached basis of a
-        zero-dimensional ideal when there is one, else the degrevlex basis,
-        which is computed by Buchberger from the generators and cached
-        first.  A zero-dimensional start is converted by FGLM; any other
-        seeds a sigma-Buchberger run with its elements.
+        gb_field._convert takes a cached basis to sigma (FGLM when it is
+        zero-dimensional, else Buchberger seeded with it): a cached
+        zero-dimensional one when there is one, else the degrevlex basis,
+        which is computed by Buchberger from the generators and cached first.
         """
         key = sigma.canonical()
         basis = self._gb_cache.get(key)
         if basis is None:
-            from .gb_field import buchberger_reduced, fglm, is_zero_dimensional
+            from .gb_field import _convert, buchberger_reduced, is_zero_dimensional
             from .orderings import degrevlex
 
             known = next((G for G in self._gb_cache.values() if is_zero_dimensional(G)), None)
@@ -398,12 +398,7 @@ class Ideal:
                 known = self._gb_cache.get(drl.canonical())
                 if known is None:
                     known = self._gb_cache[drl.canonical()] = buchberger_reduced(self.gens, drl)
-            if known.ordering == sigma:
-                basis = known
-            elif is_zero_dimensional(known):
-                basis = fglm(known, sigma)
-            else:
-                basis = buchberger_reduced(known.elements, sigma)
+            basis = _convert(known, sigma)
             self._gb_cache[key] = basis
         return basis
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ LINEAR = "ring QQ[x,y,z] degrevlex;\nideal(x + 2*z, x + 2*y);\n"
 DELTONE = "ring QQ[x,y,z] degrevlex;\nideal(x^2 - y, x*y + z + 1, z^2 + x);\n"
 MANYBAD = "ring QQ[x,y,z] degrevlex;\nideal(%s);\n"
 DOUBLING = "ring QQ[x,y,z] lex;\nideal(2*x - y, 2*y - z);\n"
+ZERO = "ring QQ[x,y] degrevlex;\nideal();\n"
 
 
 @pytest.fixture()
@@ -255,6 +257,20 @@ def test_empty_reduction_budget_means_the_default(write, capsys, monkeypatch):
     monkeypatch.setenv("MGB_BUDGET", "")
     code, out, _ = run(capsys, "universal-denominator", write(DELTONE))
     assert code == 0 and out.strip() == "28 = 2^2 * 7"
+
+
+def test_universal_denominator_of_the_zero_ideal_exits_1(write, capsys):
+    code, out, err = run(capsys, "universal-denominator", write(ZERO))
+    assert code == 1 and out == ""
+    assert "the zero ideal has no universal denominator" in err
+
+
+@pytest.mark.parametrize("command", ["fan", "universal-denominator"])
+def test_exceeded_reduction_budget_exits_1(write, capsys, monkeypatch, command):
+    monkeypatch.setenv("MGB_BUDGET", "30")
+    code, out, err = run(capsys, command, write(DELTONE))
+    assert code == 1 and out == ""
+    assert re.search(r"reduction budget of 30 exhausted \(\d+ cones found\)", err)
 
 
 @pytest.mark.parametrize("command", ["classify", "detect-bad"])

@@ -123,6 +123,30 @@ def test_cone_budget_raises_with_partial_progress():
     assert len(exc.value.fan) == 3
 
 
+def test_reduction_budget_bounds_the_fglm_traversal():
+    # the seed basis costs 2 reduction steps; the zero-dimensional flips,
+    # by FGLM, spend the rest of the budget
+    R, I = twelve_cone_ideal()
+    with pytest.raises(FanBudgetExceeded, match="reduction budget") as exc:
+        enumerate_fan(I, budget=30)
+    assert 1 <= len(exc.value.fan) <= 11
+
+
+def test_each_edge_is_flipped_once(monkeypatch):
+    flips = []
+    convert = fan_module._convert
+
+    def counted(G, tau, counter=None):
+        flips.append(tau)
+        return convert(G, tau, counter)
+
+    monkeypatch.setattr(fan_module, "_convert", counted)
+    R, I = twelve_cone_ideal()
+    fan = enumerate_fan(I)
+    edges = sum(len(nbrs) for nbrs in fan.adjacency.values()) // 2
+    assert len(flips) == edges == 18
+
+
 def test_cone_budget_below_one_is_rejected_before_any_work(monkeypatch):
     def no_basis(*args, **kwargs):
         raise AssertionError("a basis was computed")

@@ -268,7 +268,7 @@ def test_reduction_steps_fan(monkeypatch):
     monkeypatch.setattr(fan, "_Counter", Recording)
     R, I = twelve_cone_ideal()
     assert len(fan.enumerate_fan(I)) == 12
-    assert [fan.DEFAULT_BUDGET - c.left for c in made] == [619]
+    assert [fan.DEFAULT_BUDGET - c.left for c in made] == [97]
 
 
 # Instance #104 of the rad_identity property suite (random.Random(101)).  It
@@ -312,7 +312,9 @@ def test_reduced_gb_converts_a_cached_zero_dimensional_basis(monkeypatch):
         raise AssertionError("a zero-dimensional reduction ran Buchberger")
 
     monkeypatch.setattr(gb_field, "buchberger_reduced", no_buchberger)
-    monkeypatch.setattr(gb_field, "fglm", lambda G, t: converted.append(t) or fglm(G, t))
+    monkeypatch.setattr(
+        gb_field, "fglm", lambda G, t, counter=None: converted.append(t) or fglm(G, t, counter)
+    )
     assert red.reduced_gb(lex(3)).leading_terms()[0] == (0, 0, 25)
     assert converted == [lex(3)]
 
