@@ -182,6 +182,8 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     """The reduced bases of all cones of I, by facet flips from degrevlex, one per edge."""
     if max_cones < 1:
         raise ValueError("max_cones must be at least 1, got %s" % max_cones)
+    if not any(I.gens):
+        raise ValueError("the zero ideal has no universal denominator")
     n = I.ring.n
     counter = _Counter(budget)
     sigma0 = degrevlex(n)
@@ -241,8 +243,6 @@ def _cached_fan(I, max_cones, budget):
 
 def universal_denominator(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     """Delta(I): the lcm of den over the reduced bases of all term orderings."""
-    if not I.gens:
-        raise ValueError("the zero ideal has no universal denominator")
     return _cached_fan(I, max_cones, budget).denominator()
 
 

@@ -208,42 +208,52 @@ def _gm_update(lts, pairs, j, sigma):
 def buchberger(gens, sigma, counter=None, reps=None):
     """A monic (not reduced) Groebner basis of the ideal generated by gens.
 
+    S-pairs are taken by the sugar strategy (Giovini-Mora-Niesi-Robbiano-
+    Traverso 1991): least sugar first, then the sigma-smallest lcm, then
+    the pair index.  An input generator's sugar is its total degree, a
+    pair's is max(sugar_a - deg lt_a, sugar_b - deg lt_b) + deg lcm, and an
+    element appended from a pair inherits the pair's sugar.
+
     Head reduction uses the first-inserted applicable basis element.  When a
     list reps is given, it receives each element's coefficients in gens:
     basis[k] == sum(reps[k][i] * gens[i]).
     """
     basis = []
     lts = []
+    sugar = []
     reducers = []
     pairs = set()
     heap = []
     key = sigma.key
 
-    def append(f, rep):
+    def append(f, rep, f_sugar):
         lt, lc = leading(f, sigma)
         inv = f.ring.domain.invert(lc)
         basis.append(f.scale(inv))
         lts.append(lt)
+        sugar.append(f_sugar)
         reducers.append(_reducer(basis[-1], lt, f.ring.domain.one, len(basis) - 1))
         if reps is not None:
             reps.append([x.scale(inv) for x in rep])
-        for pr in _gm_update(lts, pairs, len(basis) - 1, sigma):
-            pairs.add(pr)
-            heapq.heappush(heap, (key(pp_lcm(lts[pr[0]], lts[pr[1]])), pr))
+        for a, b in _gm_update(lts, pairs, len(basis) - 1, sigma):
+            pairs.add((a, b))
+            l = pp_lcm(lts[a], lts[b])
+            pair_sugar = max(sugar[a] - sum(lts[a]), sugar[b] - sum(lts[b])) + sum(l)
+            heapq.heappush(heap, (pair_sugar, key(l), (a, b)))
 
     for i, f in enumerate(gens):
         if not f.is_zero():
             unit = None
             if reps is not None:
                 unit = [f.ring.one() if k == i else f.ring.zero() for k in range(len(gens))]
-            append(f, unit)
+            append(f, unit, max(map(sum, f.terms)))
     if not basis:
         return []
 
     ring = basis[0].ring
     one, p = ring.domain.one, ring.domain.characteristic
     while heap:
-        _, (a, b) = heapq.heappop(heap)
+        pair_sugar, _, (a, b) = heapq.heappop(heap)
         if (a, b) not in pairs:
             continue
         pairs.discard((a, b))
@@ -257,7 +267,7 @@ def buchberger(gens, sigma, counter=None, reps=None):
             rep = [x.mul_term(sa, one) - y.mul_term(sb, one) for x, y in zip(reps[a], reps[b])]
             s, rep = _divide(work, reducers, rep, reps, counter, full=False)
         if s:
-            append(Polynomial(ring, s), rep)
+            append(Polynomial(ring, s), rep, pair_sugar)
     return basis
 
 

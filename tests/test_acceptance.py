@@ -180,7 +180,7 @@ DETECTION_TUPLES = {
 
 
 def test_criterion_6_detection_end_to_end():
-    with timed(20.0):
+    with timed(2.0):
         R, J, sigma, tau = graph_ideal_six_vars()
         for p, expected in DETECTION_TUPLES.items():
             assert reduction_tuple(J, sigma, tau, p).render(R.names) == expected

@@ -265,6 +265,12 @@ def test_universal_denominator_of_the_zero_ideal_exits_1(write, capsys):
     assert "the zero ideal has no universal denominator" in err
 
 
+def test_fan_of_the_zero_ideal_exits_1(write, capsys):
+    code, out, err = run(capsys, "fan", write(ZERO))
+    assert code == 1 and out == ""
+    assert "the zero ideal has no universal denominator" in err
+
+
 @pytest.mark.parametrize("command", ["fan", "universal-denominator"])
 def test_exceeded_reduction_budget_exits_1(write, capsys, monkeypatch, command):
     monkeypatch.setenv("MGB_BUDGET", "30")

@@ -176,6 +176,17 @@ def test_zero_ideal_rejected_for_delta():
         universal_denominator(Ideal(R, []))
 
 
+def test_zero_ideal_rejected_by_the_traversal_before_any_work(monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was computed")
+
+    monkeypatch.setattr(fan_module, "buchberger_reduced", no_basis)
+    R = ring_qq("x", "y")
+    for gens in ([], [R.zero()]):
+        with pytest.raises(ValueError, match="the zero ideal has no universal denominator"):
+            enumerate_fan(Ideal(R, gens))
+
+
 # -- the exact linear solver backing facet detection -----------------------
 
 

@@ -234,9 +234,10 @@ def test_represent_zero_generator_has_zero_entry():
         assert sum((f * c for f, c in zip(F, col)), R.zero()) == g
 
 
-# The reduction-step counts below pin the reducer-selection rule: head
-# reduction in buchberger takes the first-inserted divisor, normal forms the
-# sigma-smallest one (ties by position).  A change of rule changes them.
+# The reduction-step counts below pin the pair order and the reducer-selection
+# rule: S-pairs are taken least sugar first, head reduction in buchberger
+# takes the first-inserted divisor, normal forms the sigma-smallest one (ties
+# by position).  A change of either rule changes them.
 
 _UNSPENT = 10**9
 
@@ -249,12 +250,20 @@ def _steps(gens, sigma):
 
 def test_reduction_steps_graph_ideal_elim():
     R, J, sigma, tau = graph_ideal_six_vars()
-    assert _steps(reduction(J, sigma, 7).gens, tau) == 4420
+    assert _steps(reduction(J, sigma, 7).gens, tau) == 267
+
+
+def test_reduction_steps_graph_ideal_elim_from_degrevlex():
+    # the detection path: the F_p elimination basis seeded by the F_p
+    # degrevlex basis; taking pairs by lcm alone would spend 10533 steps
+    R, J, sigma, tau = graph_ideal_six_vars()
+    seed = reduction(J, sigma, 3).reduced_gb(degrevlex(6))
+    assert _steps(seed.elements, tau) == 2389
 
 
 def test_reduction_steps_many_bad_primes_lex():
     R, I = many_bad_primes_ideal()
-    assert _steps(reduction(I, degrevlex(3), 1000003).gens, lex(3)) == 4248
+    assert _steps(reduction(I, degrevlex(3), 1000003).gens, lex(3)) == 621
 
 
 def test_reduction_steps_fan(monkeypatch):
