@@ -112,13 +112,6 @@ def rad(n):
     return r
 
 
-def mod_inverse(a, p):
-    """Inverse of a modulo the prime p; raises ZeroDivisionError when p | a."""
-    if a % p == 0:
-        raise ZeroDivisionError("%s is not invertible modulo %s" % (a, p))
-    return pow(a % p, -1, p)
-
-
 def crt_pair(r1, m1, r2, m2):
     """Combine r mod m1 and r mod m2 into r mod m1*m2 for coprime moduli."""
     if m1 < 2 or m2 < 2:

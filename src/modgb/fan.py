@@ -17,7 +17,7 @@ from fractions import Fraction
 from .arith import lcm as int_lcm
 from .gb_field import BudgetExceeded, _Counter, _convert, buchberger_reduced, normal_form
 from .orderings import _degrevlex_rows, degrevlex, matrix_order
-from .poly import den_of_set
+from .poly import QQ, den_of_set
 from .primes import _reduce_basis
 
 DEFAULT_MAX_CONES = 2000
@@ -35,10 +35,9 @@ class FanBudgetExceeded(RuntimeError):
 class Fan:
     """The set of cones of an ideal with their facet-flip adjacency."""
 
-    __slots__ = ("ideal", "cones", "adjacency")
+    __slots__ = ("cones", "adjacency")
 
-    def __init__(self, ideal, cones, adjacency):
-        self.ideal = ideal
+    def __init__(self, cones, adjacency):
         self.cones = list(cones)
         self.adjacency = {i: set(nb) for i, nb in adjacency.items()}
 
@@ -193,7 +192,7 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     flipped = set()
 
     def partial(msg):
-        return FanBudgetExceeded(msg, Fan(I, cones, adjacency))
+        return FanBudgetExceeded(msg, Fan(cones, adjacency))
 
     try:
         seed = buchberger_reduced(I.gens, sigma0, counter=counter)
@@ -229,21 +228,14 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
                     flipped.add((k, tuple(-x for x in v)))
     except BudgetExceeded:
         raise partial("reduction budget of %d exhausted" % budget) from None
-    return Fan(I, cones, adjacency)
-
-
-def _cached_fan(I, max_cones, budget):
-    """The fan of I, memoized on I per (max_cones, budget)."""
-    key = (max_cones, budget)
-    fan = I._fan_cache.get(key)
-    if fan is None:
-        fan = I._fan_cache[key] = enumerate_fan(I, max_cones, budget)
-    return fan
+    return Fan(cones, adjacency)
 
 
 def universal_denominator(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     """Delta(I): the lcm of den over the reduced bases of all term orderings."""
-    return _cached_fan(I, max_cones, budget).denominator()
+    if I.ring.domain is not QQ:
+        raise ValueError("the universal denominator needs rational coefficients")
+    return enumerate_fan(I, max_cones, budget).denominator()
 
 
 def reduction_universal(
@@ -254,9 +246,11 @@ def reduction_universal(
     It is generated by the degrevlex cone's basis mod p, which it caches as
     its reduced degrevlex basis.  With verify=True every cone's basis is
     reduced modulo p the same way, and the images are checked to generate
-    one and the same ideal over F_p.
+    one and the same ideal over F_p.  Each call enumerates the fan afresh.
     """
-    fan = _cached_fan(I, max_cones, budget)
+    if I.ring.domain is not QQ:
+        raise ValueError("the reduction mod p needs rational coefficients")
+    fan = enumerate_fan(I, max_cones, budget)
     delta = fan.denominator()
     if delta % p == 0:
         raise ValueError("prime %d divides the universal denominator %d" % (p, delta))

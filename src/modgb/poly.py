@@ -18,7 +18,6 @@ class BadPrimeForInput(ValueError):
 
 class _Rationals:
     name = "QQ"
-    is_field = True
     characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
@@ -35,7 +34,6 @@ class _Rationals:
 
 class _Integers:
     name = "ZZ"
-    is_field = False
     characteristic = 0
     zero = 0
     one = 1
@@ -48,9 +46,9 @@ class _Integers:
         return int(c)
 
     def invert(self, c):
-        if c in (1, -1):
-            return c
-        raise ZeroDivisionError("%s is not a unit in ZZ" % c)
+        # every field-engine routine inverts a leading coefficient before
+        # any other work, so this one check keeps ZZ out of all of them
+        raise ValueError("ZZ is not a field: use strong_gb (modgb strong-gb) over ZZ")
 
     def __repr__(self):
         return "ZZ"
@@ -58,8 +56,6 @@ class _Integers:
 
 class PrimeField:
     """F_p with residues stored as plain ints in [0, p)."""
-
-    is_field = True
 
     def __init__(self, p):
         if not is_prime(p):
@@ -187,12 +183,11 @@ def pp_lcm(t, s):
 class Polynomial:
     """Immutable sparse polynomial: a map from exponent tuples to coefficients."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._hash = None
 
     def is_zero(self):
         return not self.terms
@@ -211,9 +206,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other):
         zero, p = self.ring.domain.zero, self.ring.domain.characteristic
@@ -358,15 +351,13 @@ def reduce_mod_p(f, p):
 class Ideal:
     """An ideal given by generators.
 
-    It caches what is computed from it: reduced Groebner bases per ordering
-    and its Groebner fan per traversal budget (fan._cached_fan).  The caches
-    live and die with the ideal.
-    The generators are used at most once, for the degrevlex basis (see
-    reduced_gb); every other basis is converted from a cached one, as a
-    fan flip converts a cone's.  A basis may also be seeded from outside
-    when it is known to be the reduced one: a reduction mod p
-    (primes.reduction and fan.reduction_universal) holds the basis it was
-    built from, mod p.
+    It caches its reduced Groebner bases, one per ordering; the cache lives
+    and dies with the ideal.  Every new basis is converted from the first
+    one the ideal holds (see reduced_gb), as a fan flip converts a cone's.
+    A reduction mod p (primes.reduction and fan.reduction_universal) is
+    seeded with the basis it was built from, mod p, which is known to be
+    reduced; any other ideal's first basis is its degrevlex basis, the one
+    use of the generators.
     """
 
     def __init__(self, ring, gens):
@@ -376,29 +367,25 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._gb_cache = {}
-        self._fan_cache = {}
 
     def reduced_gb(self, sigma):
         """Reduced sigma-Groebner basis (memoized; the expensive step).
 
-        gb_field._convert takes a cached basis to sigma (FGLM when it is
-        zero-dimensional, else Buchberger seeded with it): a cached
-        zero-dimensional one when there is one, else the degrevlex basis,
-        which is computed by Buchberger from the generators and cached first.
+        gb_field._convert takes the first basis the ideal holds to sigma
+        (FGLM when it is zero-dimensional, else Buchberger seeded with it).
+        With none held yet, the first is the degrevlex basis, computed by
+        Buchberger from the generators and cached first.
         """
         key = sigma.canonical()
         basis = self._gb_cache.get(key)
         if basis is None:
-            from .gb_field import _convert, buchberger_reduced, is_zero_dimensional
+            from .gb_field import _convert, buchberger_reduced
             from .orderings import degrevlex
 
-            known = next((G for G in self._gb_cache.values() if is_zero_dimensional(G)), None)
-            if known is None:
+            if not self._gb_cache:
                 drl = degrevlex(self.ring.n)
-                known = self._gb_cache.get(drl.canonical())
-                if known is None:
-                    known = self._gb_cache[drl.canonical()] = buchberger_reduced(self.gens, drl)
-            basis = _convert(known, sigma)
+                self._gb_cache[drl.canonical()] = buchberger_reduced(self.gens, drl)
+            basis = _convert(next(iter(self._gb_cache.values())), sigma)
             self._gb_cache[key] = basis
         return basis
 

@@ -51,6 +51,8 @@ def den_sigma(I, sigma):
 
 def classify_prime(I, sigma, p):
     """SIGMA_BAD when p divides the sigma-denominator, SIGMA_GOOD otherwise."""
+    if I.ring.domain is not QQ:
+        raise ValueError("classifying a prime needs rational coefficients")
     G = I.reduced_gb(sigma)
     for g in G:
         if den(g) % p == 0:
@@ -140,6 +142,8 @@ def detect_tau_bad(I, sigma, tau, primes):
 
 def check_rad_identity(I, sigma):
     """Self-test oracle: the radicals of den(G) and of the strong-basis lcm agree."""
+    if I.ring.domain is not QQ:
+        raise ValueError("the denominator identity needs rational coefficients")
     G = list(I.reduced_gb(sigma))
     if not G:
         raise ValueError("the zero ideal has no denominator identity")

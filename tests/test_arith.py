@@ -12,7 +12,6 @@ from modgb.arith import (
     factor,
     is_prime,
     lcm,
-    mod_inverse,
     rad,
     random_prime,
     unused_prime,
@@ -99,13 +98,6 @@ def test_rad_properties():
 def test_rad_rejects_nonpositive():
     with pytest.raises(ValueError):
         rad(-4)
-
-
-def test_mod_inverse():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(10, 7) * 10 % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        mod_inverse(14, 7)
 
 
 def test_crt_pair():

@@ -303,6 +303,15 @@ def test_modular_gb_rejects_bad_budget(write, capsys, flag, value):
     assert "must be at least" in err
 
 
+@pytest.mark.parametrize("gens", ["2*x - y, 3*y^2 + x", "x - y, y^2 + x"])
+@pytest.mark.parametrize("command", [["gb"], ["nf", "--poly", "x"]])
+def test_integer_coefficients_exit_1_from_the_field_engine(write, capsys, gens, command):
+    code, out, err = run(capsys, *command, write("ring ZZ[x,y] degrevlex;\nideal(%s);\n" % gens))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "ZZ is not a field" in err
+    assert "Traceback" not in err
+
+
 def test_parse_error_exits_1(write, capsys):
     code, _, err = run(capsys, "gb", write("ring QQ[x lex; ideal(x);"))
     assert code == 1

@@ -20,6 +20,7 @@ from modgb import (
     Ideal,
     PolyRing,
     QQ,
+    ZZ,
     buchberger_reduced,
     fglm,
     is_groebner,
@@ -254,8 +255,8 @@ def test_reduction_steps_graph_ideal_elim():
 
 
 def test_reduction_steps_graph_ideal_elim_from_degrevlex():
-    # the detection path: the F_p elimination basis seeded by the F_p
-    # degrevlex basis; taking pairs by lcm alone would spend 10533 steps
+    # the F_p elimination basis seeded by the F_p degrevlex basis; taking
+    # pairs by lcm alone would spend 10533 steps
     R, J, sigma, tau = graph_ideal_six_vars()
     seed = reduction(J, sigma, 3).reduced_gb(degrevlex(6))
     assert _steps(seed.elements, tau) == 2389
@@ -354,6 +355,27 @@ def test_reduced_gb_of_the_unit_and_zero_ideals(engine_calls):
     assert list(G) == [] and G.ordering == lex(2)
     assert list(Z.reduced_gb(degrevlex(2))) == []
     assert engine_calls == [("bb", degrevlex(2)), ("bb", lex(2))]
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (1, 1)])
+def test_the_field_engine_rejects_integer_coefficients(a, b):
+    # ZZ is not a field: every entry point of the field engine refuses it,
+    # whether the leading coefficients are non-units (2, 3) or units (1)
+    R = PolyRing(ZZ, ("x", "y"))
+    x, y = R.gens()
+    F = [x.scale(a) - y, y * y.scale(b) + x]
+    s = degrevlex(2)
+    calls = [
+        lambda: Ideal(R, F).reduced_gb(s),
+        lambda: buchberger_reduced(F, s),
+        lambda: normal_form(x, F, s),
+        lambda: is_groebner(F, s),
+        lambda: s_polynomial(F[0], F[1], s),
+        lambda: fan.universal_denominator(Ideal(R, F)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="ZZ is not a field|rational"):
+            call()
 
 
 def test_fglm_of_the_unit_ideal():

@@ -22,6 +22,7 @@ from modgb import (
     detect_tau_bad,
     prim,
 )
+from modgb import fan
 from modgb.gb_field import is_zero_dimensional
 from modgb.orderings import degrevlex, lex, matrix_order
 from modgb.primes import (
@@ -90,6 +91,26 @@ def test_reduction_needs_rational_coefficients(domain):
         detect_tau_bad(I, degrevlex(2), lex(2), [3, 11])
 
 
+def test_rational_coefficients_are_checked_before_any_work(engine_calls, monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was computed")
+
+    monkeypatch.setattr(fan, "buchberger_reduced", no_basis)
+    R = PolyRing(GF(7), ("x", "y"))
+    x, y = R.gens()
+    I = Ideal(R, [x * x - y, x * y + R.one()])
+    s = degrevlex(2)
+    for call in (
+        lambda: classify_prime(I, s, 3),
+        lambda: check_rad_identity(I, s),
+        lambda: fan.universal_denominator(I),
+        lambda: fan.reduction_universal(I, 3),
+    ):
+        with pytest.raises(ValueError, match="rational coefficients"):
+            call()
+    assert engine_calls == []
+
+
 def test_reduction_seeds_its_reduced_sigma_basis():
     # every prime below is sigma-good for all three: their sigma-denominators are 1
     R, J, sigma, tau = graph_ideal_six_vars()
@@ -102,8 +123,10 @@ def test_reduction_seeds_its_reduced_sigma_basis():
 
 
 def test_positive_dimensional_reduction_runs_buchberger(engine_calls):
-    # with no zero-dimensional basis cached, every basis is computed from the
-    # degrevlex one, itself computed from the generators
+    # every basis is converted from the first one the ideal holds: a
+    # reduction's seeded sigma-basis goes straight to tau by one Buchberger
+    # run, while the rational J first computes its degrevlex basis from the
+    # generators
     R, J, sigma, tau = graph_ideal_six_vars()
     s = degrevlex(6)
     for p in (None, 2, 3, 5, 7):
@@ -112,8 +135,21 @@ def test_positive_dimensional_reduction_runs_buchberger(engine_calls):
             assert not is_zero_dimensional(I.reduced_gb(sigma))
         del engine_calls[:]
         G = I.reduced_gb(o)
-        assert engine_calls == [("bb", s), ("bb", o)], p
+        want = [("bb", s), ("bb", o)] if p is None else [("bb", o)]
+        assert engine_calls == want, p
         assert G == buchberger_reduced(I.gens, o), p
+
+
+def test_zero_dimensional_reduction_converts_from_its_seed(engine_calls):
+    # 13 is lex-good for many-bad-primes (11 is lex-bad); the reduction seeded
+    # with the lex basis mod 13 reaches degrevlex by one FGLM run from it
+    R, I = many_bad_primes_ideal()
+    t, s = lex(3), degrevlex(3)
+    J = reduction(I, t, 13)
+    del engine_calls[:]
+    G = J.reduced_gb(s)
+    assert engine_calls == [("fglm", t, s)]
+    assert G == buchberger_reduced(J.gens, s)
 
 
 def test_pauer_luckiness_can_be_strictly_stronger():
