@@ -159,11 +159,11 @@ def rational_reconstruct(r, m):
     return Fraction(a, b)
 
 
-def random_prime(bits=31, rng=None):
-    """Uniformly sample an odd prime with the given bit length (at least 2)."""
+def random_prime(bits, rng):
+    """Uniformly sample an odd prime with the given bit length (at least 2),
+    drawing from the random.Random rng."""
     if bits < 2:
         raise ValueError("a prime needs at least 2 bits, got %s" % bits)
-    rng = rng or random
     while True:
         n = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
         if is_prime(n):

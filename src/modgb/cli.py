@@ -12,8 +12,9 @@ from .fan import enumerate_fan, universal_denominator
 from .gb_field import normal_form
 from .gb_integer import lcm_sigma, strong_gb
 from .orderings import degrevlex
+from .parsing import GRAMMAR as INPUT_GRAMMAR
 from .parsing import ParseError, parse_input, parse_order_text, parse_poly_text
-from .pipeline import modular_gb
+from .pipeline import DEFAULT_MAX_PRIMES, DEFAULT_PRIME_BITS, modular_gb
 from .poly import QQ, ZZ, den_of_set, poly_str, prim
 from .primes import (
     check_rad_identity,
@@ -23,18 +24,13 @@ from .primes import (
     SIGMA_BAD,
 )
 
-GRAMMAR = """\
-input file grammar:
-  input      := ring_decl ';' (ideal_decl ';')*
-  ring_decl  := 'ring' coeff '[' names ']' order
-  coeff      := 'QQ' | 'ZZ' | 'ZZ' '/' '(' int ')'
-  order      := 'lex' | 'deglex' | 'degrevlex'
-              | 'elim' '(' names ')' | 'matrix' '(' row (',' row)* ')'
-  ideal_decl := 'ideal' '(' [poly (',' poly)*] ')'
-example:
-  ring QQ[x,y,z] degrevlex;
-  ideal(x^2 - y, x*y + z + 1, z^2 + x);
-"""
+GRAMMAR = (
+    "input file grammar:\n"
+    + "".join("  %s\n" % line for line in INPUT_GRAMMAR.splitlines())
+    + "example:\n"
+    "  ring QQ[x,y,z] degrevlex;\n"
+    "  ideal(x^2 - y, x*y + z + 1, z^2 + x);\n"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,8 +333,8 @@ def _build_parser():
     p = add("modular-gb", _cmd_modular_gb, help="modular pipeline with reconstruction")
     p.add_argument("--order")
     p.add_argument("--sigma")
-    p.add_argument("--prime-bits", type=_int_at_least(2), default=31)
-    p.add_argument("--max-primes", type=_int_at_least(1), default=64)
+    p.add_argument("--prime-bits", type=_int_at_least(2), default=DEFAULT_PRIME_BITS)
+    p.add_argument("--max-primes", type=_int_at_least(1), default=DEFAULT_MAX_PRIMES)
     p.add_argument("--seed", type=int)
 
     return top

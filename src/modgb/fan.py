@@ -168,13 +168,14 @@ def cone_vectors(G):
 
 
 def key(G):
-    """Canonical hashable form of the reduced basis G with its leading terms.
+    """The set of leading terms of the reduced basis G, which marks its cone.
 
-    The leading terms are part of the key: {x + y} is the reduced basis of
-    two cones, marked by x in one and by y in the other.
+    Within one ideal the leading terms alone fix the reduced basis, since
+    they generate its initial ideal.  The basis alone does not mark a cone:
+    {x + y} is the reduced basis of two cones, marked by x in one and by y
+    in the other.
     """
-    items = [(lt, tuple(sorted(g.terms.items()))) for g, lt in zip(G, G.leading_terms())]
-    return tuple(sorted(items))
+    return frozenset(G.leading_terms())
 
 
 def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):

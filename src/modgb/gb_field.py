@@ -48,10 +48,8 @@ class _Counter:
     def __init__(self, budget):
         self.left = budget
 
-    def spend(self, k=1):
-        if self.left is None:
-            return
-        self.left -= k
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("reduction budget exhausted")
 

@@ -43,8 +43,8 @@ class TermOrdering:
     def greater(self, t, s):
         return self.key(t) > self.key(s)
 
-    def sorted(self, pps, reverse=False):
-        return sorted(pps, key=self.key, reverse=reverse)
+    def sorted(self, pps):
+        return sorted(pps, key=self.key)
 
     def max(self, pps):
         return max(pps, key=self.key)

@@ -175,19 +175,17 @@ def modular_gb(
     state = None  # the lift of the primes holding the best tuple so far
     rejected = []
     tried = set()
-    attempts = 0
-    while attempts < max_primes:
+    while len(tried) < max_primes:
         p = random_prime(prime_bits, rng)
         if p in tried:
             # a repeat: take the smallest unused prime, so every draw counts
             p = unused_prime(prime_bits, tried)
             if p is None:
                 raise RuntimeError(
-                    "all %d odd primes of %d bits are used up; "
-                    "no verified basis after %d primes" % (len(tried), prime_bits, attempts)
+                    "all %d odd primes of %d bits are used up with no verified basis"
+                    % (len(tried), prime_bits)
                 )
         tried.add(p)
-        attempts += 1
         try:
             basis = run_prime(I, sigma, tau, p)
         except BadPrimeForInput:
@@ -214,10 +212,10 @@ def modular_gb(
                     ReducedGB(tau, candidate),
                     state.primes,
                     rejected,
-                    attempts,
+                    len(tried),
                     time.monotonic() - start,
                 )
     raise RuntimeError(
         "no verified basis after %d primes; undecided primes may still be bad"
-        % attempts
+        % len(tried)
     )

@@ -393,14 +393,10 @@ class Ideal:
         return "Ideal(%r, %d gens)" % (self.ring, len(self.gens))
 
 
-def poly_str(f, sigma=None):
+def poly_str(f, sigma):
     """Canonical text form: sigma-descending terms, explicit '*' and '^'."""
     if f.is_zero():
         return "0"
-    if sigma is None:
-        from .orderings import degrevlex
-
-        sigma = degrevlex(f.ring.n)
     names = f.ring.names
     parts = []
     for pp, c in f.sorted_terms(sigma):

@@ -337,3 +337,13 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "gb", "-")
     assert code == 0
     assert out.strip() == "[x + 2*z, y - z]"
+
+
+def test_non_decimal_digit_exits_1_with_its_position(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("ring QQ[x] lex;\nideal(x^²);\n"))
+    code, out, err = run(capsys, "gb", "-")
+    assert code == 1 and out == ""
+    assert "lexical at line 2, column 9" in err
+    assert "Traceback" not in err

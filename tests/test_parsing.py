@@ -173,3 +173,53 @@ def test_serialize_round_trip():
         assert len(ideals2) == len(ideals)
         for I, J in zip(ideals, ideals2):
             assert I.gens == J.gens
+
+
+def test_only_decimal_digits_are_numbers():
+    # '²' is a digit to str.isdigit but not to int(): a positioned lexical
+    # error, not a bare ValueError from int()
+    with pytest.raises(LexicalError) as exc:
+        parse_input("ring QQ[x] lex;\nideal(x^²);")
+    assert (exc.value.line, exc.value.col) == (2, 9)
+    # an Arabic-Indic digit is decimal, so int() reads it
+    spec, ideals, _ = parse_input("ring QQ[x] lex;\nideal(x^٣);")
+    assert ideals[0].gens[0].terms == {(3,): 1}
+
+
+def test_leading_plus_and_negative_matrix_entries_round_trip():
+    spec, ideals, _ = parse_input("ring QQ[x,y] lex;\nideal(+x - y, + 2*y);")
+    assert [g.terms for g in ideals[0].gens] == [{(1, 0): 1, (0, 1): -1}, {(0, 1): 2}]
+    text = "ring QQ[x,y,z] matrix([1,2,3],[0,-1,0],[1,1,1]);\nideal(x - y);"
+    spec, ideals, _ = parse_input(text)
+    out = serialize_input(spec, ideals)
+    assert out.startswith("ring QQ[x,y,z] matrix([1,2,3],[0,-1,0],[1,1,1]);")
+    spec2, ideals2, _ = parse_input(out)
+    assert spec2 == spec and ideals2[0].gens == ideals[0].gens
+
+
+@pytest.mark.parametrize(
+    "text,line,col",
+    [
+        ("ring QQ[x] lex;\nideal(x + 1/0);", 2, 13),
+        ("ring QQ[x] lexx;\nideal(x);", 1, 12),
+        ("ring QQ[x,y] lex;\nideal(x*);", 2, 9),
+        ("ring ZZ[x] lex;\nideal(1/2*x);", 2, 12),
+    ],
+    ids=["zero_denominator", "unknown_ordering", "dangling_star", "fraction_in_ZZ"],
+)
+def test_syntax_error_branches_point_at_their_token(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_input(text)
+    assert type(exc.value) is SyntaxError_
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_readme_and_usage_print_the_one_grammar_text():
+    from pathlib import Path
+
+    from modgb.cli import GRAMMAR as USAGE
+    from modgb.parsing import GRAMMAR
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert "```\n" + GRAMMAR + "```\n" in readme
+    assert all("  " + line in USAGE for line in GRAMMAR.splitlines())
