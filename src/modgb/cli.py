@@ -1,4 +1,13 @@
-"""Command-line interface: batch subcommands over the input file format."""
+"""Command-line interface: batch subcommands over the input file format.
+
+Each subcommand is one entry of COMMANDS: its name, help text, handler
+and flags.  A handler is a function of (spec, ideal, args) that returns
+its JSON payload and its text.  Only `main` reads the input, resolves the
+ordering flags --order, --sigma and --tau (unset means the ring's
+ordering, or the flag's default text), attaches MGB_BUDGET as args.budget
+to the commands that take --max-cones, prints, and maps errors to exit
+codes.
+"""
 
 import argparse
 import json
@@ -11,9 +20,8 @@ from .fan import DEFAULT_BUDGET, DEFAULT_MAX_CONES, FanBudgetExceeded
 from .fan import enumerate_fan, universal_denominator
 from .gb_field import normal_form
 from .gb_integer import lcm_sigma, strong_gb
-from .orderings import degrevlex
 from .parsing import GRAMMAR as INPUT_GRAMMAR
-from .parsing import ParseError, parse_input, parse_order_text, parse_poly_text
+from .parsing import parse_input, parse_order_text, parse_poly_text
 from .pipeline import DEFAULT_MAX_PRIMES, DEFAULT_PRIME_BITS, modular_gb
 from .poly import QQ, ZZ, den_of_set, poly_str, prim
 from .primes import (
@@ -52,12 +60,6 @@ def _read_input(path):
     return spec, ideals[0]
 
 
-def _order_flag(value, spec):
-    if value is None:
-        return spec.ordering
-    return parse_order_text(value, spec.names)
-
-
 def _parse_primes(text):
     try:
         primes = [int(s) for s in text.split(",") if s.strip()]
@@ -94,15 +96,6 @@ def _budget(parser):
     return int(raw)
 
 
-def _emit(args, payload, text):
-    if args.json:
-        payload = dict(payload)
-        payload["schema"] = 1
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
 def _basis_strings(basis, order):
     # print with the leading-term-greatest element first
     return [poly_str(g, order) for g in reversed(list(basis))]
@@ -128,99 +121,66 @@ def _verdicts(verdicts, names):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (spec, ideal, args) -> (JSON payload, text)
 
 
-def _cmd_gb(args):
-    spec, I = _read_input(args.file)
-    order = _order_flag(args.order, spec)
-    basis = I.reduced_gb(order)
-    strings = _basis_strings(basis, order)
-    _emit(args, {"basis": strings}, _bracketed(strings))
-    return 0
+def _cmd_gb(spec, I, args):
+    strings = _basis_strings(I.reduced_gb(args.order), args.order)
+    return {"basis": strings}, _bracketed(strings)
 
 
-def _cmd_strong_gb(args):
-    spec, I = _read_input(args.file)
-    order = _order_flag(args.order, spec)
+def _cmd_strong_gb(spec, I, args):
     if spec.domain is QQ:
-        gens = [prim(g, order) for g in I.gens]
+        gens = [prim(g, args.order) for g in I.gens]
     elif spec.domain is ZZ:
         gens = I.gens
     else:
         raise ValueError("strong-gb needs coefficients in QQ or ZZ")
-    B = strong_gb(gens, order)
-    strings = _basis_strings(B, order)
+    B = strong_gb(gens, args.order)
+    strings = _basis_strings(B, args.order)
     lc_lcm = lcm_sigma(B)
-    _emit(
-        args,
-        {"basis": strings, "lc_lcm": str(lc_lcm)},
-        "%s\nlcm of leading coefficients: %d" % (_bracketed(strings), lc_lcm),
-    )
-    return 0
+    text = "%s\nlcm of leading coefficients: %d" % (_bracketed(strings), lc_lcm)
+    return {"basis": strings, "lc_lcm": str(lc_lcm)}, text
 
 
-def _cmd_nf(args):
-    spec, I = _read_input(args.file)
-    order = _order_flag(args.order, spec)
+def _cmd_nf(spec, I, args):
     f = parse_poly_text(args.poly, spec.ring())
-    r = normal_form(f, I.reduced_gb(order), order)
-    _emit(args, {"normal_form": poly_str(r, order)}, poly_str(r, order))
-    return 0
+    r = poly_str(normal_form(f, I.reduced_gb(args.order), args.order), args.order)
+    return {"normal_form": r}, r
 
 
-def _cmd_classify(args):
-    spec, I = _read_input(args.file)
-    order = _order_flag(args.order, spec)
-    verdicts = [classify_prime(I, order, p) for p in _parse_primes(args.primes)]
+def _cmd_classify(spec, I, args):
+    verdicts = [classify_prime(I, args.order, p) for p in _parse_primes(args.primes)]
     records, _ = _verdicts(verdicts, spec.names)
     lines = []
     for v, rec in zip(verdicts, records):
         if v.status != SIGMA_BAD:
-            pl = pauer_lucky([prim(g, order) for g in I.gens], order, v.prime)
+            pl = pauer_lucky([prim(g, args.order) for g in I.gens], args.order, v.prime)
             rec["pauer"] = pl.status
             lines.append("%d: %s, %s" % (v.prime, v.status, pl.status))
         else:
             lines.append("%d: %s" % (v.prime, v.status))
-    _emit(args, {"primes": records}, "\n".join(lines))
-    return 0
+    return {"primes": records}, "\n".join(lines)
 
 
-def _cmd_detect_bad(args):
-    spec, I = _read_input(args.file)
-    sigma = parse_order_text(args.sigma, spec.names) if args.sigma else spec.ordering
-    tau = parse_order_text(args.tau, spec.names) if args.tau else degrevlex(len(spec.names))
-    primes = _parse_primes(args.primes)
-    records, lines = _verdicts(detect_tau_bad(I, sigma, tau, primes), spec.names)
-    _emit(args, {"primes": records}, "\n".join(lines))
-    return 0
+def _cmd_detect_bad(spec, I, args):
+    verdicts = detect_tau_bad(I, args.sigma, args.tau, _parse_primes(args.primes))
+    records, lines = _verdicts(verdicts, spec.names)
+    return {"primes": records}, "\n".join(lines)
 
 
-def _cmd_rad_check(args):
-    spec, I = _read_input(args.file)
-    order = _order_flag(args.order, spec)
-    a, b, ok = check_rad_identity(I, order)
-    _emit(
-        args,
-        {"rad_den": str(a), "rad_lcm": str(b), "equal": ok},
-        "rad(den) = %d\nrad(lcm) = %d\n%s" % (a, b, "equal" if ok else "DIFFERENT"),
-    )
-    return 0
+def _cmd_rad_check(spec, I, args):
+    a, b, ok = check_rad_identity(I, args.order)
+    text = "rad(den) = %d\nrad(lcm) = %d\n%s" % (a, b, "equal" if ok else "DIFFERENT")
+    return {"rad_den": str(a), "rad_lcm": str(b), "equal": ok}, text
 
 
 def _factored(n):
-    if n == 1:
-        return "1"
-    fac = factor(n)
-    parts = []
-    for p in sorted(fac):
-        e = fac[p]
-        parts.append("%d^%d" % (p, e) if e > 1 else "%d" % p)
-    return " * ".join(parts)
+    parts = ("%d^%d" % (p, e) if e > 1 else "%d" % p for p, e in sorted(factor(n).items()))
+    return " * ".join(parts) or "1"
 
 
-def _cmd_fan(args):
-    spec, I = _read_input(args.file)
+def _cmd_fan(spec, I, args):
     if spec.domain is not QQ:
         raise ValueError("fan needs rational coefficients")
     fan = enumerate_fan(I, max_cones=args.max_cones, budget=args.budget)
@@ -230,64 +190,75 @@ def _cmd_fan(args):
         strings = _basis_strings(cone.elements, cone.ordering)
         d = den_of_set(cone)
         nbrs = sorted(fan.adjacency[i])
-        records.append(
-            {"cone": i, "basis": strings, "den": str(d), "adjacent": nbrs}
-        )
+        records.append({"cone": i, "basis": strings, "den": str(d), "adjacent": nbrs})
         lines.append(
             "cone %d: den=%d adjacent=%s basis=%s"
             % (i, d, ",".join(map(str, nbrs)), _bracketed(strings))
         )
     delta = fan.denominator()
     lines.append("universal denominator: %d = %s" % (delta, _factored(delta)))
-    _emit(args, {"cones": records, "delta": str(delta)}, "\n".join(lines))
-    return 0
+    return {"cones": records, "delta": str(delta)}, "\n".join(lines)
 
 
-def _cmd_universal_denominator(args):
-    spec, I = _read_input(args.file)
+def _cmd_universal_denominator(spec, I, args):
     delta = universal_denominator(I, max_cones=args.max_cones, budget=args.budget)
-    _emit(
-        args,
-        {"delta": str(delta), "factorization": _factored(delta)},
-        "%d = %s" % (delta, _factored(delta)) if delta > 1 else "1",
-    )
-    return 0
+    text = "%d = %s" % (delta, _factored(delta)) if delta > 1 else "1"
+    return {"delta": str(delta), "factorization": _factored(delta)}, text
 
 
-def _cmd_modular_gb(args):
-    spec, I = _read_input(args.file)
-    tau = _order_flag(args.order, spec)
-    sigma = parse_order_text(args.sigma, spec.names) if args.sigma else None
+def _cmd_modular_gb(spec, I, args):
     rng = random.Random(args.seed) if args.seed is not None else None
     result = modular_gb(
         I,
-        tau,
-        sigma=sigma,
+        args.order,
+        sigma=args.sigma,
         prime_bits=args.prime_bits,
         max_primes=args.max_primes,
         rng=rng,
     )
-    strings = _basis_strings(result.basis, tau)
+    strings = _basis_strings(result.basis, args.order)
     rejected, rejected_lines = _verdicts(result.rejected, spec.names)
     lines = [_bracketed(strings)]
     lines.append("primes used: %s" % ",".join(map(str, result.used_primes)))
     lines.extend("rejected " + line for line in rejected_lines)
     lines.append("%.3f s, %d primes tried" % (result.seconds, result.attempts))
-    _emit(
-        args,
-        {
-            "basis": strings,
-            "used_primes": [str(p) for p in result.used_primes],
-            "rejected": rejected,
-            "attempts": result.attempts,
-            "seconds": result.seconds,
-        },
-        "\n".join(lines),
-    )
-    return 0
+    payload = {
+        "basis": strings,
+        "used_primes": [str(p) for p in result.used_primes],
+        "rejected": rejected,
+        "attempts": result.attempts,
+        "seconds": result.seconds,
+    }
+    return payload, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
+
+_MAX_CONES = {"type": _int_at_least(1), "default": DEFAULT_MAX_CONES}
+
+# name, help, handler, then each flag with its add_argument keywords
+COMMANDS = (
+    ("gb", "reduced Groebner basis", _cmd_gb,
+     {"--order": {"help": "term ordering (default: ring's)"}}),
+    ("strong-gb", "minimal strong basis over ZZ", _cmd_strong_gb, {"--order": {}}),
+    ("nf", "normal form of a polynomial", _cmd_nf,
+     {"--poly": {"required": True}, "--order": {}}),
+    ("classify", "good/bad and Pauer-lucky primes", _cmd_classify,
+     {"--order": {}, "--primes": {"required": True, "help": "comma-separated primes"}}),
+    ("detect-bad", "purely modular bad-prime detection", _cmd_detect_bad,
+     {"--sigma": {}, "--tau": {"default": "degrevlex"}, "--primes": {"required": True}}),
+    ("rad-check", "radical identity self-test", _cmd_rad_check, {"--order": {}}),
+    ("fan", "Groebner fan enumeration", _cmd_fan, {"--max-cones": _MAX_CONES}),
+    ("universal-denominator", "Delta(I)", _cmd_universal_denominator,
+     {"--max-cones": _MAX_CONES}),
+    ("modular-gb", "modular pipeline with reconstruction", _cmd_modular_gb, {
+        "--order": {},
+        "--sigma": {"default": "degrevlex"},
+        "--prime-bits": {"type": _int_at_least(2), "default": DEFAULT_PRIME_BITS},
+        "--max-primes": {"type": _int_at_least(1), "default": DEFAULT_MAX_PRIMES},
+        "--seed": {"type": int},
+    }),
+)
 
 
 def _build_parser():
@@ -295,48 +266,12 @@ def _build_parser():
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--json", action="store_true", help="machine-readable output")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, help_text, fn, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input file, or - for stdin")
+        for flag, kw in flags.items():
+            p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("gb", _cmd_gb, help="reduced Groebner basis")
-    p.add_argument("--order", help="term ordering (default: ring's)")
-
-    p = add("strong-gb", _cmd_strong_gb, help="minimal strong basis over ZZ")
-    p.add_argument("--order")
-
-    p = add("nf", _cmd_nf, help="normal form of a polynomial")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--order")
-
-    p = add("classify", _cmd_classify, help="good/bad and Pauer-lucky primes")
-    p.add_argument("--order")
-    p.add_argument("--primes", required=True, help="comma-separated primes")
-
-    p = add("detect-bad", _cmd_detect_bad, help="purely modular bad-prime detection")
-    p.add_argument("--sigma")
-    p.add_argument("--tau")
-    p.add_argument("--primes", required=True)
-
-    p = add("rad-check", _cmd_rad_check, help="radical identity self-test")
-    p.add_argument("--order")
-
-    p = add("fan", _cmd_fan, help="Groebner fan enumeration")
-    p.add_argument("--max-cones", type=_int_at_least(1), default=DEFAULT_MAX_CONES)
-
-    p = add("universal-denominator", _cmd_universal_denominator, help="Delta(I)")
-    p.add_argument("--max-cones", type=_int_at_least(1), default=DEFAULT_MAX_CONES)
-
-    p = add("modular-gb", _cmd_modular_gb, help="modular pipeline with reconstruction")
-    p.add_argument("--order")
-    p.add_argument("--sigma")
-    p.add_argument("--prime-bits", type=_int_at_least(2), default=DEFAULT_PRIME_BITS)
-    p.add_argument("--max-primes", type=_int_at_least(1), default=DEFAULT_MAX_PRIMES)
-    p.add_argument("--seed", type=int)
-
     return top
 
 
@@ -344,21 +279,25 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("fan", "universal-denominator"):
+        if hasattr(args, "max_cones"):
             args.budget = _budget(parser)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.fn(args)
-    except ParseError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 1
+        spec, I = _read_input(args.file)
+        for flag in ("order", "sigma", "tau"):
+            if hasattr(args, flag):
+                value = getattr(args, flag)
+                setattr(args, flag, spec.ordering if value is None else parse_order_text(value, spec.names))
+        payload, text = args.fn(spec, I, args)
+        print(json.dumps(dict(payload, schema=1)) if args.json else text)
     except FanBudgetExceeded as e:
         sys.stderr.write("error: %s (%d cones found)\n" % (e, len(e.fan)))
         return 1
     except (ValueError, RuntimeError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

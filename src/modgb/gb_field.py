@@ -369,9 +369,12 @@ def fglm(G, tau, counter=None):
 
 
 def _convert(G, tau, counter=None):
-    """The reduced tau-basis of G's ideal: by FGLM if G is zero-dimensional, else Buchberger."""
-    if G.ordering == tau:
-        return G
+    """The reduced tau-basis of G's ideal: G relabelled if each element keeps its
+    leading term under tau (<lt_tau G> = in(I) lies in in_tau(I), and both
+    standard-monomial sets are bases of R/I, so they agree), else by FGLM if
+    G is zero-dimensional, else by Buchberger."""
+    if all(leading(g, tau)[0] == leading(g, G.ordering)[0] for g in G):
+        return ReducedGB(tau, sorted(G, key=lambda g: tau.key(leading(g, tau)[0])))
     if is_zero_dimensional(G):
         return fglm(G, tau, counter)
     return buchberger_reduced(G.elements, tau, counter=counter)

@@ -113,6 +113,14 @@ def _index(t, names):
     return names.index(t.text)
 
 
+def _int(t):
+    """The value of the int token t, with int()'s digit-limit refusal positioned."""
+    try:
+        return int(t.text)
+    except ValueError as e:
+        raise LexicalError(str(e), t.line, t.col) from None
+
+
 _PLAIN_ORDERS = {"lex": lex, "deglex": deglex, "degrevlex": degrevlex}
 
 
@@ -162,7 +170,7 @@ class _Parser:
             return ZZ
         self.expect("(")
         pt = self.expect("int", "a prime modulus")
-        p = int(pt.text)
+        p = _int(pt)
         if not is_prime(p):
             raise NonPrimeModulusError("%d is not prime" % p, pt.line, pt.col)
         self.expect(")")
@@ -185,12 +193,13 @@ class _Parser:
 
     def parse_fraction(self, t):
         """The unsigned number int ['/' int] whose integer token t was taken."""
-        val = Fraction(int(t.text))
+        val = Fraction(_int(t))
         if self.accept("/"):
             dt = self.expect("int", "a denominator")
-            if int(dt.text) == 0:
+            d = _int(dt)
+            if d == 0:
                 raise SyntaxError_("zero denominator", dt.line, dt.col)
-            val /= int(dt.text)
+            val /= d
         return val
 
     def parse_order(self, names):
@@ -261,7 +270,7 @@ class _Parser:
                 coeff *= self.parse_fraction(t)
             else:
                 i = _index(t, ring.names)
-                pp[i] += int(self.expect("int", "an exponent").text) if self.accept("^") else 1
+                pp[i] += _int(self.expect("int", "an exponent")) if self.accept("^") else 1
             what = "a factor after '*'"
             if not self.accept("*") and self.peek().kind not in ("int", "name"):
                 break

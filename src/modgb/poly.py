@@ -372,7 +372,8 @@ class Ideal:
         """Reduced sigma-Groebner basis (memoized; the expensive step).
 
         gb_field._convert takes the first basis the ideal holds to sigma
-        (FGLM when it is zero-dimensional, else Buchberger seeded with it).
+        (that basis itself when sigma keeps its leading terms, else FGLM
+        when it is zero-dimensional, else Buchberger seeded with it).
         With none held yet, the first is the degrevlex basis, computed by
         Buchberger from the generators and cached first.
         """

@@ -347,3 +347,76 @@ def test_non_decimal_digit_exits_1_with_its_position(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert "lexical at line 2, column 9" in err
     assert "Traceback" not in err
+
+
+def test_strong_gb_over_integers_golden(write, capsys):
+    code, out, _ = run(capsys, "strong-gb", write("ring ZZ[x,y] lex;\nideal(2*x - y, 2*y - x);\n"))
+    assert code == 0
+    assert out == "[x + y, 3*y]\nlcm of leading coefficients: 3\n"
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [("strong-gb", "strong-gb needs coefficients in QQ or ZZ"), ("fan", "fan needs rational coefficients")],
+)
+def test_prime_field_coefficients_exit_1(write, capsys, command, message):
+    code, out, err = run(capsys, command, write("ring ZZ/(7)[x,y] lex;\nideal(2*x - y, 2*y - x);\n"))
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_universal_denominator_one_prints_1(write, capsys):
+    code, out, _ = run(capsys, "universal-denominator", write("ring QQ[x,y] lex;\nideal(x - y);\n"))
+    assert (code, out) == (0, "1\n")
+
+
+def test_input_without_ideal_exits_1(write, capsys):
+    code, out, err = run(capsys, "gb", write("ring QQ[x,y] lex;\n"))
+    assert (code, out, err) == (1, "", "error: input contains no ideal declaration\n")
+
+
+@pytest.mark.parametrize("primes,message", [("3,x", "bad prime list '3,x'"), (",", "empty prime list")])
+def test_malformed_prime_list_exits_1(write, capsys, primes, message):
+    code, out, err = run(capsys, "classify", "--primes", primes, write(DOUBLING))
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+HELP_SHA256 = {
+    "": "4ad1149097a744c4dcca417190fcead1545a98fa0ed99fc8934acdb62d3a6f0b",
+    "gb": "065815ce2d6ac2e5a561df375e570eea3727ccd2fd6f52a2e0c3eaae0b4c778d",
+    "strong-gb": "1efcc73d5bc30f6c4980fe853b9612783b8cbd293fee8e79af13d24790fcafef",
+    "nf": "2aacb3ffca86674a1aba927a39b2fcb5ab2d2856ccfe73e398130e05430ab054",
+    "classify": "05d9ffc2075772cb5555158e1c5aaac2c898b03c23ad051c94fc530a603adfb5",
+    "detect-bad": "ed62d7a8e061eaee8d5f6f71346cf1194be1b3245c7f48a8d1f17f98971e4a10",
+    "rad-check": "2cee6bddbe08e243939910a9eb749d60e9a93db4d6db94cbe0ce36ae10c6bfd4",
+    "fan": "0c302e031328e63470510541f464ce31eddb49494544ae0f60be9e95df00f949",
+    "universal-denominator": "e666f4f25811015e59d58837462b2d17b9e6f7de2a9f62071a1eaed611592ee9",
+    "modular-gb": "77546b4e88d3d3a5096c6f5c70ba8564a2a71df1a3ba419be8989c5c63f08652",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256))
+def test_help_golden(capsys, monkeypatch, command):
+    # argparse wraps help to COLUMNS; Python 3.10 titles the options
+    # section "optional arguments:", later versions "options:"
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    out = out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+def test_one_variable_basis_is_not_converted(write, capsys):
+    # in one indeterminate every ordering has the same leading terms, so
+    # the lex basis is the degrevlex one (FGLM would walk 10^20 monomials)
+    code, out, _ = run(capsys, "gb", write("ring QQ[x] lex;\nideal(x^99999999999999999999);\n"))
+    assert (code, out) == (0, "[x^99999999999999999999]\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["gb", "--order", ""], ["detect-bad", "--sigma", "", "--primes", "3"],
+             ["detect-bad", "--tau", "", "--primes", "3"], ["modular-gb", "--sigma", ""]]
+)
+def test_empty_ordering_text_exits_1_with_its_position(write, capsys, argv):
+    code, out, err = run(capsys, *argv, write(LINEAR))
+    assert (code, out) == (1, "")
+    assert err == "error: syntax at line 1, column 1: expected a term ordering, found 'end of input'\n"

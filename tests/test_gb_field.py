@@ -348,13 +348,13 @@ def test_reduced_gb_of_the_unit_and_zero_ideals(engine_calls):
     x, y = R.gens()
     G = Ideal(R, [x, x + R.one()]).reduced_gb(lex(2))
     assert list(G) == [R.one()] and G.ordering == lex(2)
-    assert engine_calls == [("bb", degrevlex(2)), ("bb", lex(2))]
+    assert engine_calls == [("bb", degrevlex(2))]
     del engine_calls[:]
     Z = Ideal(R, [R.zero()])
     G = Z.reduced_gb(lex(2))
     assert list(G) == [] and G.ordering == lex(2)
     assert list(Z.reduced_gb(degrevlex(2))) == []
-    assert engine_calls == [("bb", degrevlex(2)), ("bb", lex(2))]
+    assert engine_calls == [("bb", degrevlex(2))]
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (1, 1)])

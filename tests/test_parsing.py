@@ -223,3 +223,21 @@ def test_readme_and_usage_print_the_one_grammar_text():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert "```\n" + GRAMMAR + "```\n" in readme
     assert all("  " + line in USAGE for line in GRAMMAR.splitlines())
+
+
+@pytest.mark.parametrize(
+    "factor,col", [("1" * 5000 + "*x", 7), ("x^" + "1" * 5000, 9)], ids=["coefficient", "exponent"]
+)
+def test_literals_beyond_the_int_digit_limit_are_positioned(factor, col):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default); where it has no limit the literal simply parses
+    text = "ring QQ[x] lex;\nideal(%s);" % factor
+    try:
+        int("1" * 5000)
+    except ValueError:
+        with pytest.raises(LexicalError) as exc:
+            parse_input(text)
+        assert (exc.value.line, exc.value.col) == (2, col)
+    else:
+        spec, ideals, _ = parse_input(text)
+        assert len(ideals[0].gens[0].terms) == 1

@@ -16,6 +16,7 @@ from conftest import (
 )
 from modgb import GF, ZZ, Ideal, PolyRing, buchberger_reduced, detect_tau_bad, modular_gb
 from modgb import pipeline
+from modgb.gb_field import is_groebner
 from modgb.orderings import degrevlex, lex
 from modgb.pipeline import (
     LiftState,
@@ -142,6 +143,20 @@ def test_verify_candidate_checks_both_containments():
     # too small: a reduced basis of a proper subideal
     smaller = list(Ideal(R, I.gens[:2]).reduced_gb(t))
     assert not verify_candidate(smaller, I, t)
+
+
+def test_verify_candidate_rejects_zero_unreduced_and_non_groebner_candidates():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    t = lex(2)
+    gens = [x * x - y, x * y - R.one()]
+    I = Ideal(R, gens)
+    assert not verify_candidate([R.zero(), y], I, t)
+    assert not verify_candidate([y, x + y], I, t)  # lt y divides x + y's tail
+    # monic, self-reduced, and both generators reduce to zero against it;
+    # only its S-polynomial x - y^2 survives
+    assert not is_groebner(gens, t)
+    assert not verify_candidate(gens, I, t)
 
 
 def test_verify_candidate_rejects_random_wrong_ideals():
