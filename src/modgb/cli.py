@@ -297,6 +297,9 @@ def main(argv=None):
     except (ValueError, RuntimeError, OSError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 1
     return 0
 
 

@@ -13,13 +13,14 @@ import random
 import time
 
 from .arith import crt_pair, random_prime, rational_reconstruct, unused_prime
-from .gb_field import ReducedGB, is_groebner, normal_form
+from .gb_field import ReducedGB, is_groebner, is_zero_dimensional, normal_form
 from .orderings import degrevlex
 from .poly import BadPrimeForInput, PolyRing, QQ, leading, pp_divides
 from .primes import classify_prime, reduction, tau_bad_verdict
-from .tuples import EQUAL, LtTuple, PRECEDES, precedes
+from .tuples import EQUAL, LtTuple, PRECEDES, count_standard, precedes
 
-DEFAULT_PRIME_BITS = 31
+# below 3.3e24 (81 bits) arith.is_prime is deterministic, so every prime is certified
+DEFAULT_PRIME_BITS = 64
 DEFAULT_MAX_PRIMES = 64
 
 
@@ -83,16 +84,23 @@ def lift_and_reconstruct(state, names):
 
 
 def verify_candidate(candidate, I, tau, sigma=None):
-    """Check that the candidate is the reduced tau-basis of the ideal of I.
+    """Check that the candidate C is the reduced tau-basis of the ideal of I.
 
-    The candidate is monic and self-reduced, every input generator reduces
-    to zero against it, no S-polynomial survives reduction, and every
-    candidate element reduces to zero against the reduced sigma-basis of I
-    (sigma defaults to degrevlex; the pipeline's per-prime runs have already
-    cached that basis on I).  The second check gives I inside the
-    candidate's ideal, the last the reverse, so the two ideals are equal;
-    the Groebner check then makes the monic, self-reduced candidate the
-    unique reduced tau-basis.
+    C must be monic and self-reduced, and every element of C must reduce to
+    zero against G, the reduced sigma-basis of I (sigma defaults to
+    degrevlex; the pipeline's per-prime runs have already cached G on I).
+    That gives <C> inside I.
+
+    When G is zero-dimensional, the standard monomials of lt(C) are counted,
+    and the walk stops once it passes #std(lt G) = dim R/I; C is rejected
+    unless the counts are equal.  This is exact: dim R/I <= dim R/<C> <=
+    #std(lt C), so equal counts make <C> = I, and make the standard
+    monomials of lt(<C>) those of <lt C>, so C is a Groebner basis (Arnold,
+    JSC 2003).  Otherwise (G positive-dimensional, empty, or [1]) every
+    generator of I must reduce to zero against C, giving I inside <C>, and
+    C must pass the Groebner check on the S-pairs that the product and chain
+    criteria keep.  Either way the monic, self-reduced Groebner basis of I
+    is its unique reduced tau-basis.
     """
     if not candidate:
         return not I.gens
@@ -108,17 +116,23 @@ def verify_candidate(candidate, I, tau, sigma=None):
         for j, lt in enumerate(lts):
             if i != j and any(pp_divides(lt, t) for t in g.terms):
                 return False
-    ring = candidate[0].ring
-    for f in I.gens:
-        if f.ring != ring:
-            f = ring.from_terms(f.terms.items())
-        if not normal_form(f, candidate, tau).is_zero():
-            return False
-    if not is_groebner(candidate, tau):
-        return False
     if sigma is None:
         sigma = degrevlex(I.ring.n)
     G = I.reduced_gb(sigma)
+    if is_zero_dimensional(G):
+        n = I.ring.n
+        dim = count_standard(G.leading_terms(), n)
+        if count_standard(lts, n, dim) != dim:
+            return False
+    else:
+        ring = candidate[0].ring
+        for f in I.gens:
+            if f.ring != ring:
+                f = ring.from_terms(f.terms.items())
+            if not normal_form(f, candidate, tau).is_zero():
+                return False
+        if not is_groebner(candidate, tau):
+            return False
     return all(normal_form(g, G, sigma).is_zero() for g in candidate)
 
 
@@ -152,11 +166,11 @@ def modular_gb(
 ):
     """Compute the reduced tau-basis of I by the modular pipeline.
 
-    Primes are drawn at random; sigma defaults to degrevlex for the
-    per-prime reduction step.  Reconstruction is attempted once the
-    committed tuple has three supporters and after every second prime
-    thereafter; success requires verify_candidate.  I must have rational
-    coefficients.
+    Primes of prime_bits bits are drawn at random; sigma defaults to
+    degrevlex for the per-prime reduction step.  Reconstruction is
+    attempted once the committed tuple has three supporters and after every
+    second prime thereafter; success requires verify_candidate.  I must
+    have rational coefficients.
     """
     if I.ring.domain is not QQ:
         raise ValueError("modular_gb needs rational coefficients, got %s" % I.ring.domain)

@@ -1,4 +1,5 @@
-"""Ordered interreduced tuples of leading terms and their comparison."""
+"""Ordered interreduced tuples of leading terms, their comparison, and the
+count of the monomials that no leading term divides."""
 
 from .poly import leading, pp_divides, pp_str
 
@@ -121,3 +122,32 @@ def lessthan_witness(T, T_prime):
     if j > k:
         return None
     return k, t_min
+
+
+def count_standard(lts, n, bound=None):
+    """The number of monomials in n variables that no term of lts divides, or
+    None once it passes bound (so also when it is infinite).
+
+    One walk over slices: the standard monomials with x_n^k are x_n^k times
+    those of the slice {t / x_n^j : t in lts, j = t_n <= k} in the first n - 1
+    variables.  The slice changes only at the x_n-exponents of lts, so each run
+    of equal slices is counted once however long it is, and every slice below
+    the pure power of x_n counts at least one monomial.
+    """
+    if any(not any(t) for t in lts):
+        return 0
+    if n == 0:
+        return 1 if bound is None or bound >= 1 else None
+    i = n - 1
+    top = min((t[i] for t in lts if not any(t[:i])), default=None)
+    if top is None:
+        return None
+    levels = sorted({0, top, *(t[i] for t in lts if t[i] < top)})
+    total = 0
+    for a, b in zip(levels, levels[1:]):
+        sub_bound = None if bound is None else (bound - total) // (b - a)
+        sub = count_standard([t[:i] for t in lts if t[i] <= a], i, sub_bound)
+        if sub is None:
+            return None
+        total += sub * (b - a)
+    return total

@@ -287,6 +287,16 @@ def test_primes_flag_rejects_non_primes(write, capsys, command, value):
     assert "%s is not prime" % value in err
 
 
+def test_out_of_memory_exits_1_with_one_line(write, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("modgb.cli.universal_denominator", exhausted)
+    code, out, err = run(capsys, "universal-denominator", write(DELTONE))
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_modular_gb_exhausted_primes_exit_1(write, capsys):
     code, _, err = run(
         capsys, "modular-gb", "--order", "lex", "--prime-bits", "3", "--seed", "1",

@@ -16,7 +16,7 @@ from conftest import (
 )
 from modgb import GF, ZZ, Ideal, PolyRing, buchberger_reduced, detect_tau_bad, modular_gb
 from modgb import pipeline
-from modgb.gb_field import is_groebner
+from modgb.gb_field import is_groebner, is_zero_dimensional
 from modgb.orderings import degrevlex, lex
 from modgb.pipeline import (
     LiftState,
@@ -26,7 +26,7 @@ from modgb.pipeline import (
 )
 from modgb.poly import leading, poly_str
 from modgb.primes import SIGMA_BAD, TAU_BAD_CERTIFIED, UNDECIDED
-from modgb.tuples import PRECEDES, LtTuple, precedes
+from modgb.tuples import PRECEDES, LtTuple, count_standard, precedes
 
 
 def lifted(I, sigma, tau, primes):
@@ -153,8 +153,8 @@ def test_verify_candidate_rejects_zero_unreduced_and_non_groebner_candidates():
     I = Ideal(R, gens)
     assert not verify_candidate([R.zero(), y], I, t)
     assert not verify_candidate([y, x + y], I, t)  # lt y divides x + y's tail
-    # monic, self-reduced, and both generators reduce to zero against it;
-    # only its S-polynomial x - y^2 survives
+    # monic, self-reduced and inside I, but not a Groebner basis: its leading
+    # terms x^2 and x*y leave every y^k standard, so the count rejects it
     assert not is_groebner(gens, t)
     assert not verify_candidate(gens, I, t)
 
@@ -173,6 +173,99 @@ def test_verify_candidate_rejects_random_wrong_ideals():
         x = ring.gens()[0]
         smaller = list(Ideal(ring, [f * x for f in I.gens]).reduced_gb(t))
         assert not verify_candidate(smaller, I, t)
+
+
+def zero_dimensional_pair():
+    """I = <x^2 - y, y^2> in QQ[x,y]: zero-dimensional, dim R/I = 4."""
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    return R, Ideal(R, [x * x - y, y * y])
+
+
+def forbid(monkeypatch, *names):
+    """Make the named pipeline functions fail the test if they are called."""
+    for name in names:
+        def called(*args, name=name):
+            raise AssertionError("%s was called" % name)
+
+        monkeypatch.setattr(pipeline, name, called)
+
+
+def test_verify_candidate_counts_standard_monomials_when_zero_dimensional(monkeypatch):
+    R, I = zero_dimensional_pair()
+    x, y = R.gens()
+    t = lex(2)
+    G = list(I.reduced_gb(t))
+    # no Groebner check on the counting path
+    forbid(monkeypatch, "is_groebner")
+    assert verify_candidate(G, I, t)
+    # too large: <x^2 - y, x*y, y^2> has dim 3
+    assert not verify_candidate([x * x - y, x * y, y * y], I, t)
+    # too small: the proper subideals <x^2 - y, y^3> (dim 6) and <x^2 - y>
+    assert not verify_candidate([x * x - y, y * y * y], I, t)
+    assert not verify_candidate([x * x - y], I, t)
+    # the right leading terms with a wrong tail
+    assert not verify_candidate([x * x - y + R.one(), y * y], I, t)
+
+
+def test_verify_candidate_rejects_a_larger_ideal_with_the_same_count(monkeypatch):
+    R, I = zero_dimensional_pair()
+    x, y = R.gens()
+    t = lex(2)
+    C = [x * x - y, x * y, y * y * y]
+    # #std<x^2, x*y, y^3> = #{1, x, y, y^2} = 4 = dim R/I, but C is not a
+    # Groebner basis: its ideal holds y^2 and strictly contains I
+    assert count_standard([leading(g, t)[0] for g in C], 2) == 4
+    assert not is_groebner(C, t)
+    J = Ideal(R, C)
+    assert list(J.reduced_gb(t)) == [y * y, x * y, x * x - y]
+    forbid(monkeypatch, "is_groebner")
+    assert not verify_candidate(C, I, t)
+
+
+def test_verify_candidate_rejects_unbounded_counts_quickly(monkeypatch):
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    I = Ideal(R, [x, y])
+    t = lex(2)
+    forbid(monkeypatch, "is_groebner", "normal_form")
+    with timed(0.5):
+        # lt(C) leaves every y^k standard
+        assert not verify_candidate([x], I, t)
+        # the walk stops once the count passes #std(lt G) = 1, long before x^(10^12)
+        assert not verify_candidate([R.from_terms([((10**12, 0), 1)]), y], I, t)
+
+
+def test_verify_candidate_counts_a_huge_pure_power_by_slices():
+    R = ring_qq("x")
+    power = R.from_terms([((10**12,), 1)])
+    I = Ideal(R, [power])
+    with timed(0.5):
+        assert verify_candidate([power], I, lex(1))
+        assert not verify_candidate([R.from_terms([((10**12 - 1,), 1)])], I, lex(1))
+
+
+def test_verify_candidate_keeps_the_two_sided_check_otherwise(monkeypatch):
+    checked = []
+    groebner = pipeline.is_groebner
+    monkeypatch.setattr(
+        pipeline, "is_groebner", lambda C, tau: checked.append(len(C)) or groebner(C, tau)
+    )
+    R = ring_qq("x", "y", "z")
+    x, y, z = R.gens()
+    t = lex(3)
+    # the unit ideal: G = [1] is not zero-dimensional by its leading terms
+    unit = Ideal(R, [x, x + R.one()])
+    assert verify_candidate([R.one()], unit, t)
+    assert not verify_candidate([x], unit, t)
+    # a positive-dimensional ideal
+    I = Ideal(R, [x * x - y * z, x * y - z])
+    assert not is_zero_dimensional(I.reduced_gb(degrevlex(3)))
+    G = list(Ideal(R, I.gens).reduced_gb(t))
+    assert verify_candidate(G, I, t)
+    # G without its first element still generates I, but is no Groebner basis
+    assert not verify_candidate(G[1:], I, t)
+    assert checked == [1, len(G), len(G) - 1]
 
 
 @pytest.mark.parametrize("bits", [2, 3, 4, 5])
@@ -244,7 +337,7 @@ def test_modular_gb_many_bad_primes_lex_time_bound():
     # per-prime lex bases come by FGLM from the reduced sigma-basis mod p;
     # by Buchberger over F_p this took about 3 s
     R, I = many_bad_primes_ideal()
-    with timed(1.5):
+    with timed(0.5):
         result = modular_gb(I, lex(3), rng=random.Random(7))
     assert len(result.used_primes) >= 3
 

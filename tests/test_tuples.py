@@ -1,4 +1,9 @@
-"""Ordered leading-term tuples: construction, comparison, witnesses."""
+"""Ordered leading-term tuples: construction, comparison, witnesses, and
+standard-monomial counts."""
+
+import itertools
+import random
+from operator import le
 
 import pytest
 
@@ -10,6 +15,7 @@ from modgb.tuples import (
     FOLLOWS,
     LtTuple,
     PRECEDES,
+    count_standard,
     interreduce,
     lessthan_witness,
     precedes,
@@ -165,3 +171,25 @@ def test_witness_implies_precedence():
 def test_render():
     s = degrevlex(3)
     assert T(s, "z^3", "y^3").render(NAMES3) == "[z^3, y^3]"
+
+
+def test_count_standard_matches_a_box_count_and_stops_past_its_bound():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        # pure powers of degree at most 5 keep every standard monomial in the box
+        lts = [tuple(rng.randint(1, 5) if j == i else 0 for j in range(n)) for i in range(n)]
+        lts += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        box = itertools.product(range(6), repeat=n)
+        count = sum(not any(all(map(le, t, e)) for t in lts) for e in box)
+        assert count_standard(lts, n) == count
+        assert count_standard(lts, n, count) == count
+        if count:
+            assert count_standard(lts, n, count - 1) is None
+    assert count_standard([], 0) == 1
+    assert count_standard([(0, 0)], 2) == 0
+    assert count_standard([], 1) is None
+    assert count_standard([(0, 1)], 2) is None
+    # one slice per run of equal slices, however long the run
+    assert count_standard([(10**12, 0), (0, 2)], 2) == 2 * 10**12
+    assert count_standard([(10**12, 0), (0, 2)], 2, 10**12) is None
