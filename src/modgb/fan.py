@@ -2,21 +2,21 @@
 ordering-free reduction modulo a prime.
 
 A cone is represented by its reduced basis, a ReducedGB whose leading terms
-mark it.  Traversal starts from the degrevlex cone and flips facets: for a
-facet with primitive normal v we pick an integer weight w in its relative
-interior and convert the cone's basis to the matrix ordering [w; -v;
-degrevlex rows] by gb_field._convert (FGLM when I is zero-dimensional),
-once per edge.  The facet system's rows are integer vectors, which
-Fourier-Motzkin keeps integral; only the back-substitution uses Fractions.
+mark it.  Traversal starts from the degrevlex cone and flips facets.  Each
+cone's facets come from the extreme rays of its closed cone in the positive
+orthant, found by one double-description run over ZZ: a facet with
+primitive normal v gets as its point w the sum of the rays on it, which lies
+in its relative interior.  The cone's basis is converted to the matrix
+ordering [w; -v; degrevlex rows] by gb_field._convert (FGLM when I is
+zero-dimensional), once per edge.
 """
 
 import math
 from collections import deque
-from fractions import Fraction
 
 from .arith import lcm as int_lcm
 from .gb_field import BudgetExceeded, _Counter, _convert, buchberger_reduced, normal_form
-from .orderings import _degrevlex_rows, degrevlex, matrix_order
+from .orderings import _degrevlex_rows, _rank, degrevlex, matrix_order
 from .poly import QQ, den_of_set
 from .primes import _reduce_basis
 
@@ -53,7 +53,7 @@ class Fan:
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility over ZZ (Fourier-Motzkin with back-substitution)
+# facets by double description over ZZ
 
 
 def _primitive(a):
@@ -62,88 +62,54 @@ def _primitive(a):
     return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
-def _solve_strict(ineqs, d):
-    """A primitive integer point y with a . y > 0 for every integer row a
-    (each of length d), or None.  Elimination keeps the rows integral;
-    only the back-substitution uses Fractions."""
-    systems = [None] * (d + 1)
-    cur = list({_primitive(a) for a in ineqs})
-    for k in range(d, 0, -1):
-        if any(not any(a) for a in cur):
-            return None
-        systems[k] = cur
-        if k == 1:
-            break
-        low = [a for a in cur if a[k - 1] > 0]
-        up = [a for a in cur if a[k - 1] < 0]
-        nxt = [a[: k - 1] for a in cur if a[k - 1] == 0]
-        for a in low:
-            for b in up:
-                nxt.append(
-                    tuple(a[k - 1] * b[i] - b[k - 1] * a[i] for i in range(k - 1))
-                )
-        cur = list({_primitive(a) for a in nxt})
-    if d == 0:
-        return [] if not ineqs else None
-    scalars = [a[0] for a in systems[1]]
-    if any(s == 0 for s in scalars):
-        return None
-    if all(s > 0 for s in scalars):
-        y = [Fraction(1)]
-    elif all(s < 0 for s in scalars):
-        y = [Fraction(-1)]
-    else:
-        return None
-    for k in range(2, d + 1):
-        lower, upper = None, None
-        for a in systems[k]:
-            if a[k - 1] == 0:
-                continue
-            bound = -sum(a[i] * y[i] for i in range(k - 1)) / a[k - 1]
-            if a[k - 1] > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is None and upper is None:
-            y.append(Fraction(0))
-        elif lower is None:
-            y.append(upper - 1)
-        elif upper is None:
-            y.append(lower + 1)
-        else:
-            y.append((lower + upper) / 2)
-    # the system is homogeneous, so any positive multiple of y solves it
-    den = math.lcm(*(x.denominator for x in y))
-    return list(_primitive([x.numerator * (den // x.denominator) for x in y]))
+def _facet_points(vectors, n):
+    """Map each cone vector v that spans a flippable facet to its facet point:
+    a primitive, strictly positive integer w with w.v = 0 and w.u > 0 for the
+    other vectors u.
 
+    The extreme rays of C = {w >= 0 : u.w >= 0 for u in vectors} come from
+    double description (Fukuda-Prodon 1996): start from the orthant rays e_i
+    and add one inequality at a time, keeping the rays on its nonnegative
+    side and combining a positive ray with a negative one only when the two
+    are adjacent.  Each ray carries the bit set of the inequalities tight at
+    it, and the combinatorial test decides adjacency: at least n - 2 tight
+    inequalities in common, and no third ray tight at all of them.
 
-def _facet_point(vectors, v, n):
-    """Strictly positive integer weight w with w.v = 0 and w.u > 0 for the
-    other cone vectors, or None when the facet system is infeasible.
-
-    With c the first nonzero entry of v, the plane w.v = 0 has the integer
-    basis b_j = sgn(v_c) (v_c e_j - v_j e_c), j != c, so every row of the
-    projected system is an integer vector.
+    v spans a flippable facet exactly when the rays tight at v have rank
+    n - 1 and their sum, which lies in the facet's relative interior, is
+    strictly positive; w is that sum made primitive.
     """
-    c = next(j for j, x in enumerate(v) if x)
-    vc, sign = abs(v[c]), (1 if v[c] > 0 else -1)
-    free = [j for j in range(n) if j != c]
-    stricts = [u for u in vectors if u != v]
-    stricts += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    ineqs = []
-    for u in stricts:
-        a = tuple(vc * u[j] - sign * v[j] * u[c] for j in free)
-        if not any(a):
-            return None
-        ineqs.append(a)
-    y = _solve_strict(ineqs, n - 1)
-    if y is None:
-        return None
-    w = [0] * n
-    for yj, j in zip(y, free):
-        w[j] += vc * yj
-        w[c] -= sign * v[j] * yj
-    return list(_primitive(w))
+    ineqs = sorted(vectors)
+    full = (1 << n) - 1
+    rays = [(tuple(int(i == j) for j in range(n)), full ^ (1 << i)) for i in range(n)]
+    for k, a in enumerate(ineqs, n):
+        pos, neg, nxt = [], [], []
+        for r, z in rays:
+            s = sum(x * y for x, y in zip(a, r))
+            if s > 0:
+                pos.append((r, z, s))
+                nxt.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                nxt.append((r, z | 1 << k))
+        for p, zp, sp in pos:
+            for q, zq, sq in neg:
+                z = zp & zq
+                if z.bit_count() < n - 2 or any(
+                    z & zr == z for r, zr in rays if r is not p and r is not q
+                ):
+                    continue
+                ray = _primitive(tuple(sp * y - sq * x for x, y in zip(p, q)))
+                nxt.append((ray, z | 1 << k))
+        rays = nxt
+    points = {}
+    for k, v in enumerate(ineqs, n):
+        tight = [r for r, z in rays if z >> k & 1]
+        w = [sum(r[j] for r in tight) for j in range(n)]
+        if min(w) > 0 and _rank(tight) == n - 1:
+            points[v] = _primitive(w)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +170,8 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
         while queue:
             i = queue.popleft()
             cone = cones[i]
-            vectors = cone_vectors(cone)
-            for v in sorted(vectors):
+            for v, w in sorted(_facet_points(cone_vectors(cone), n).items()):
                 if (i, v) in flipped:
-                    continue
-                w = _facet_point(vectors, v, n)
-                if w is None:
                     continue
                 tau = _flip_ordering(w, v, n)
                 nb = _convert(cone, tau, counter)

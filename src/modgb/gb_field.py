@@ -309,9 +309,9 @@ def fglm(G, tau, counter=None):
 
     Monomials are visited in increasing tau order, skipping multiples of the
     tau-leading terms found so far.  The G-normal form of x_i * m is that of
-    m, shifted by x_i and reduced again.  The normal forms are stored in
-    echelon form, each row with its combination of visited monomials; a
-    normal form that eliminates to zero gives the element m - sum c_j b_j.
+    m, shifted by x_i and reduced again.  Echelon rows keep their pivot
+    inverse and the multipliers of the rows that built them; when a normal form
+    eliminates to zero, back-substitution gives the element m - sum c_j b_j.
     """
     sigma, ring = G.ordering, G[0].ring
     dom, n = ring.domain, ring.n
@@ -329,12 +329,8 @@ def fglm(G, tau, counter=None):
             else:
                 v.pop(t, None)
 
-    def scaled(w, f):
-        return {t: c * f % p if p else c * f for t, c in w.items()}
-
     one = (0,) * n
-    nfs = {}  # visited monomial outside the leading-term ideal -> normal form
-    rows = []  # (pivot, normal-form row, monomial combination), pivot entry 1
+    rows = []  # (pivot, its inverse, echelon row, monomial, normal form, {row: multiplier})
     lts, elements = [], []
     heap, seen = [(tau.key(one), one, None, 0)], {one}
     while heap:
@@ -344,27 +340,31 @@ def fglm(G, tau, counter=None):
         if parent is None:
             start = {one: dom.one}
         else:
-            start = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in nfs[parent].items()}
+            start = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in rows[parent][4].items()}
         nf = _reduce(_Work(start, sigma.key, p), reducers, counter)
-        v, comb = dict(nf), {m: dom.one}
-        for pivot, w, cw in rows:
+        v, used = dict(nf), {}
+        for k, (pivot, inv, w, _, _, _) in enumerate(rows):
             f = v.get(pivot)
             if f:
-                subtract(v, f, w)
-                subtract(comb, f, cw)
+                used[k] = f * inv % p if p else f * inv
+                subtract(v, used[k], w)
         if not v:
+            comb = {m: dom.one}
+            for k in reversed(range(len(rows))):
+                f = used.pop(k, None)
+                if f:
+                    comb[rows[k][3]] = -f % p if p else -f
+                    subtract(used, f, rows[k][5])
             lts.append(m)
             elements.append(Polynomial(ring, comb))
             continue
         pivot = next(iter(v))
-        inv = dom.invert(v[pivot])
-        rows.append((pivot, scaled(v, inv), scaled(comb, inv)))
-        nfs[m] = nf
+        rows.append((pivot, dom.invert(v[pivot]), v, m, nf, used))
         for j in range(n):
             u = m[:j] + (m[j] + 1,) + m[j + 1 :]
             if u not in seen:
                 seen.add(u)
-                heapq.heappush(heap, (tau.key(u), u, m, j))
+                heapq.heappush(heap, (tau.key(u), u, len(rows) - 1, j))
     return ReducedGB(tau, elements)
 
 
