@@ -1,23 +1,23 @@
 """Groebner fan enumeration, the universal denominator, and the
 ordering-free reduction modulo a prime.
 
-A cone is represented by its reduced basis, a ReducedGB whose leading terms
-mark it.  Traversal starts from the degrevlex cone and flips facets.  Each
-cone's facets come from the extreme rays of its closed cone in the positive
-orthant, found by one double-description run over ZZ: a facet with
-primitive normal v gets as its point w the sum of the rays on it, which lies
-in its relative interior.  The cone's basis is converted to the matrix
-ordering [w; -v; degrevlex rows] by gb_field._convert (FGLM when I is
-zero-dimensional), once per edge.
+A cone is represented by its reduced basis, a ReducedGB, and keyed by
+its leading terms, gb_field.min_lt.  Traversal starts from the degrevlex
+cone and flips facets.  Each cone's facets come from the extreme rays of
+its closed cone in the positive orthant, found by one double-description
+run over ZZ: a facet with primitive normal v gets as its point w the sum
+of the rays on it, which lies in its relative interior.  The cone's basis
+is converted to the matrix ordering [w; -v; degrevlex rows] by
+gb_field._convert (FGLM when I is zero-dimensional), once per edge.
 """
 
 import math
 from collections import deque
 
 from .arith import lcm as int_lcm
-from .gb_field import BudgetExceeded, _Counter, _convert, buchberger_reduced, normal_form
+from .gb_field import BudgetExceeded, _Counter, _convert, buchberger_reduced, min_lt, normal_form
 from .orderings import _degrevlex_rows, _rank, degrevlex, matrix_order
-from .poly import QQ, den_of_set
+from .poly import GF, QQ, den_of_set
 from .primes import _reduce_basis
 
 DEFAULT_MAX_CONES = 2000
@@ -133,17 +133,6 @@ def cone_vectors(G):
     return vs
 
 
-def key(G):
-    """The set of leading terms of the reduced basis G, which marks its cone.
-
-    Within one ideal the leading terms alone fix the reduced basis, since
-    they generate its initial ideal.  The basis alone does not mark a cone:
-    {x + y} is the reduced basis of two cones, marked by x in one and by y
-    in the other.
-    """
-    return frozenset(G.leading_terms())
-
-
 def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     """The reduced bases of all cones of I, by facet flips from degrevlex, one per edge."""
     if max_cones < 1:
@@ -165,7 +154,7 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
         seed = buchberger_reduced(I.gens, sigma0, counter=counter)
         cones.append(seed)
         adjacency[0] = set()
-        index[key(seed)] = 0
+        index[min_lt(seed)] = 0
         queue = deque([0])
         while queue:
             i = queue.popleft()
@@ -175,7 +164,7 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
                     continue
                 tau = _flip_ordering(w, v, n)
                 nb = _convert(cone, tau, counter)
-                nb_key = key(nb)
+                nb_key = min_lt(nb)
                 k = index.get(nb_key)
                 if k is None:
                     if len(cones) >= max_cones:
@@ -213,16 +202,17 @@ def reduction_universal(
     """
     if I.ring.domain is not QQ:
         raise ValueError("the reduction mod p needs rational coefficients")
+    field = GF(p)  # rejects a non-prime before the fan is enumerated
     fan = enumerate_fan(I, max_cones, budget)
     delta = fan.denominator()
     if delta % p == 0:
         raise ValueError("prime %d divides the universal denominator %d" % (p, delta))
-    result = _reduce_basis(I, fan.cones[0], p)
+    result = _reduce_basis(I, fan.cones[0], field)
     if verify:
         sigma0 = fan.cones[0].ordering
         G0 = result.reduced_gb(sigma0)
         for cone in fan.cones[1:]:
-            Gc = _reduce_basis(I, cone, p).reduced_gb(cone.ordering)
+            Gc = _reduce_basis(I, cone, field).reduced_gb(cone.ordering)
             ok = all(normal_form(f, G0, sigma0).is_zero() for f in Gc) and all(
                 normal_form(g, Gc, cone.ordering).is_zero() for g in G0
             )

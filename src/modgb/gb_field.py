@@ -136,10 +136,13 @@ def _reduce(work, reducers, counter=None, full=True, on_step=None):
 
 
 def normal_form(f, G, sigma):
-    """Full normal form of f against the basis G (deterministic reducer choice)."""
-    basis = G.elements if isinstance(G, ReducedGB) else list(G)
+    """Full normal form of f against the polynomials G, which must lie in f's
+    ring (deterministic reducer choice)."""
+    basis = list(G)
     if not basis:
         return f
+    if any(g.ring != f.ring for g in basis):
+        raise ValueError("the polynomial and the basis lie in different rings")
     work = _Work(dict(f.terms), sigma.key, f.ring.domain.characteristic)
     return Polynomial(f.ring, _reduce(work, _reducers(basis, sigma)))
 
@@ -269,14 +272,13 @@ def buchberger(gens, sigma, counter=None, reps=None):
     return basis
 
 
-def buchberger_reduced(gens, sigma, budget=None, counter=None):
+def buchberger_reduced(gens, sigma, counter=None):
     """The unique reduced sigma-Groebner basis of the ideal generated by gens.
 
     Returns the empty basis for the zero ideal and [1] for the unit ideal.
-    A shared counter may be passed to budget several computations jointly.
+    A counter budgets the reduction steps, shared when several computations
+    are budgeted jointly.
     """
-    if counter is None and budget is not None:
-        counter = _Counter(budget)
     basis = buchberger(gens, sigma, counter)
     if not basis:
         return ReducedGB(sigma, [])
@@ -381,8 +383,15 @@ def _convert(G, tau, counter=None):
 
 
 def min_lt(G):
-    """MinLT: the set of leading terms of the reduced basis."""
-    return set(G.leading_terms())
+    """MinLT: the set of leading terms of the reduced basis G, which marks its
+    Groebner-fan cone.
+
+    Within one ideal the leading terms alone fix the reduced basis, since
+    they generate its initial ideal.  The basis alone does not mark a cone:
+    {x + y} is the reduced basis of two cones, marked by x in one and by y
+    in the other.
+    """
+    return frozenset(G.leading_terms())
 
 
 def s_polynomial(f, g, sigma):

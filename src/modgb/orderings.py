@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from operator import mul, neg
 
-LT, EQ, GT = -1, 0, 1
-
 
 class TermOrdering:
     """Base class: a total, multiplicative ordering with 1 as minimum."""
@@ -26,19 +24,6 @@ class TermOrdering:
 
     def key(self, pp):
         raise NotImplementedError
-
-    def compare(self, t, s):
-        """Three-way comparison of two power products."""
-        if len(t) != self.n or len(s) != self.n:
-            raise ValueError("power product arity does not match ordering arity")
-        kt, ks = self.key(t), self.key(s)
-        if kt < ks:
-            return LT
-        if kt > ks:
-            return GT
-        if t != s:
-            raise ValueError("ordering matrix is rank deficient: tie on distinct terms")
-        return EQ
 
     def greater(self, t, s):
         return self.key(t) > self.key(s)

@@ -6,7 +6,8 @@ over F_p; its ring gives the prime and its leading terms give the tuple.
 The tuple test supplies the prime filter: a basis whose tuple strictly
 precedes another's belongs to a relatively bad prime, so only the primes
 of the best tuple seen so far are lifted.  Rejected primes get the
-verdicts of primes.detect_tau_bad and primes.classify_prime.
+verdicts of primes.detect_tau_bad: primes.sigma_bad_verdict when the
+reduction mod p raised BadPrimeForInput, primes.tau_bad_verdict otherwise.
 """
 
 import random
@@ -16,7 +17,7 @@ from .arith import crt_pair, random_prime, rational_reconstruct, unused_prime
 from .gb_field import ReducedGB, is_groebner, is_zero_dimensional, normal_form
 from .orderings import degrevlex
 from .poly import BadPrimeForInput, PolyRing, QQ, leading, pp_divides
-from .primes import classify_prime, reduction, tau_bad_verdict
+from .primes import reduction, sigma_bad_verdict, tau_bad_verdict
 from .tuples import EQUAL, LtTuple, PRECEDES, count_standard, precedes
 
 # below 3.3e24 (81 bits) arith.is_prime is deterministic, so every prime is certified
@@ -27,14 +28,13 @@ DEFAULT_MAX_PRIMES = 64
 class LiftState:
     """CRT lift of the F_p bases that hold one committed tuple."""
 
-    __slots__ = ("lt_tuple", "modulus", "table", "primes", "failed")
+    __slots__ = ("lt_tuple", "modulus", "table", "primes")
 
     def __init__(self, lt_tuple):
         self.lt_tuple = lt_tuple
         self.modulus = 1
         self.table = {}  # (element index, pp) -> residue mod modulus
         self.primes = []
-        self.failed = None  # the table key whose reconstruction failed last
 
     def absorb(self, basis):
         """Lift one more reduced tau-basis over F_p into the table."""
@@ -61,22 +61,11 @@ def run_prime(I, sigma, tau, p):
 
 def lift_and_reconstruct(state, names):
     """Candidate rational basis from the lift, in the committed tuple's order,
-    or None when some coefficient needs more primes.
-
-    The coefficient that failed last is tried first, so a repeated failure
-    costs one reconstruction.
-    """
-    table, m, first = state.table, state.modulus, state.failed
-    c_first = None
-    if first in table:
-        c_first = rational_reconstruct(table[first], m)
-        if c_first is None:
-            return None
+    or None when some coefficient needs more primes."""
     terms = [[] for _ in state.lt_tuple]
-    for key, residue in table.items():
-        c = c_first if key == first else rational_reconstruct(residue, m)
+    for key, residue in state.table.items():
+        c = rational_reconstruct(residue, state.modulus)
         if c is None:
-            state.failed = key
             return None
         terms[key[0]].append((key[1], c))
     ring = PolyRing(QQ, names)
@@ -125,12 +114,8 @@ def verify_candidate(candidate, I, tau, sigma=None):
         if count_standard(lts, n, dim) != dim:
             return False
     else:
-        ring = candidate[0].ring
-        for f in I.gens:
-            if f.ring != ring:
-                f = ring.from_terms(f.terms.items())
-            if not normal_form(f, candidate, tau).is_zero():
-                return False
+        if not all(normal_form(f, candidate, tau).is_zero() for f in I.gens):
+            return False
         if not is_groebner(candidate, tau):
             return False
     return all(normal_form(g, G, sigma).is_zero() for g in candidate)
@@ -202,8 +187,8 @@ def modular_gb(
         tried.add(p)
         try:
             basis = run_prime(I, sigma, tau, p)
-        except BadPrimeForInput:
-            rejected.append(classify_prime(I, sigma, p))
+        except BadPrimeForInput as e:
+            rejected.append(sigma_bad_verdict(e))
             continue
         t = LtTuple(tau, basis.leading_terms())
         if state is not None:

@@ -9,7 +9,13 @@ from .arith import is_prime
 
 
 class BadPrimeForInput(ValueError):
-    """Raised when reducing modulo p a polynomial whose denominator p divides."""
+    """Raised when reducing modulo p a coefficient whose denominator p divides;
+    it carries p and that denominator, the witness of a sigma-bad verdict."""
+
+    def __init__(self, p, denominator):
+        super().__init__("prime %d divides the denominator %d" % (p, denominator))
+        self.p = p
+        self.denominator = denominator
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +60,16 @@ class _Integers:
         return "ZZ"
 
 
+def _require_prime(p):
+    if not is_prime(p):
+        raise ValueError("%s is not prime" % p)
+
+
 class PrimeField:
     """F_p with residues stored as plain ints in [0, p)."""
 
     def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError("%s is not prime" % p)
+        _require_prime(p)
         self.p = p
         self.name = "ZZ/(%d)" % p
         self.characteristic = p
@@ -69,9 +79,7 @@ class PrimeField:
     def coerce(self, c):
         if isinstance(c, Fraction):
             if c.denominator % self.p == 0:
-                raise BadPrimeForInput(
-                    "prime %d divides the denominator %d" % (self.p, c.denominator)
-                )
+                raise BadPrimeForInput(self.p, c.denominator)
             return c.numerator * pow(c.denominator, -1, self.p) % self.p
         return int(c) % self.p
 

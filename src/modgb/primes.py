@@ -1,6 +1,9 @@
 """Prime taxonomy for an ideal: good/bad per ordering, Pauer-lucky, and the
 purely modular detector for relatively bad primes."""
 
+# tuples is called through the module, because a tracer may replace
+# tuples.precedes after import (bench/tracing.py counts its calls)
+from . import tuples
 from .arith import rad
 from .gb_field import ReducedGB
 from .gb_integer import lcm_sigma, strong_gb
@@ -10,7 +13,7 @@ from .poly import (
     Ideal,
     PolyRing,
     QQ,
-    den,
+    _require_prime,
     den_of_set,
     leading,
     prim,
@@ -50,26 +53,26 @@ def den_sigma(I, sigma):
 
 
 def classify_prime(I, sigma, p):
-    """SIGMA_BAD when p divides the sigma-denominator, SIGMA_GOOD otherwise."""
-    if I.ring.domain is not QQ:
-        raise ValueError("classifying a prime needs rational coefficients")
-    G = I.reduced_gb(sigma)
-    for g in G:
-        if den(g) % p == 0:
-            return PrimeVerdict(p, SIGMA_BAD, {"witness_denominator": den(g)})
+    """The verdict of reduction(I, sigma, p), the one judge of sigma-badness:
+    SIGMA_BAD, witnessed by the denominator it found p to divide, when it
+    rejects p, and SIGMA_GOOD otherwise."""
+    try:
+        reduction(I, sigma, p)
+    except BadPrimeForInput as e:
+        return sigma_bad_verdict(e)
     return PrimeVerdict(p, SIGMA_GOOD)
 
 
-def _reduce_basis(I, G, p):
-    """The ideal over F_p generated by G mod p, with G mod p cached as its
-    reduced basis; G is a reduced basis of I, and BadPrimeForInput is raised
-    when p divides one of its denominators.
+def _reduce_basis(I, G, field):
+    """The ideal over field = F_p generated by G mod p, with G mod p cached
+    as its reduced basis; G is a reduced basis of I, and BadPrimeForInput is
+    raised when p divides one of its denominators.
 
     G is monic with coefficients free of p, so dividing an S-polynomial by G
     takes the same steps over ZZ localized at p as over QQ, and its standard
     representation survives the reduction mod p.
     """
-    ring = PolyRing(GF(p), I.ring.names)
+    ring = PolyRing(field, I.ring.names)
     gens = [ring.from_terms(g.terms.items()) for g in G]
     J = Ideal(ring, gens)
     J._gb_cache[G.ordering.canonical()] = ReducedGB(G.ordering, gens)
@@ -86,11 +89,13 @@ def reduction(I, sigma, p):
     """
     if I.ring.domain is not QQ:
         raise ValueError("the reduction mod p needs rational coefficients")
-    return _reduce_basis(I, I.reduced_gb(sigma), p)
+    field = GF(p)  # rejects a non-prime before any basis is computed
+    return _reduce_basis(I, I.reduced_gb(sigma), field)
 
 
 def pauer_lucky(F, sigma, p):
     """Pauer-luckiness of p for a set of integer polynomials."""
+    _require_prime(p)
     B = strong_gb(list(F), sigma)
     for g in B:
         lc = leading(g, sigma)[1]
@@ -101,9 +106,12 @@ def pauer_lucky(F, sigma, p):
 
 def reduction_tuple(I, sigma, tau, p):
     """O_tau of the (p, sigma)-reduction of I, computed purely modulo p."""
-    from .tuples import os_of_ideal
+    return tuples.os_of_ideal(reduction(I, sigma, p), tau)
 
-    return os_of_ideal(reduction(I, sigma, p), tau)
+
+def sigma_bad_verdict(e):
+    """The verdict on a prime that the reduction rejected with BadPrimeForInput e."""
+    return PrimeVerdict(e.p, SIGMA_BAD, {"witness_denominator": e.denominator})
 
 
 def tau_bad_verdict(p, t, best):
@@ -114,26 +122,26 @@ def tau_bad_verdict(p, t, best):
 def detect_tau_bad(I, sigma, tau, primes):
     """Certify relatively tau-bad primes from modular data only.
 
-    A sigma-bad prime gets the verdict of classify_prime.  Among the other
+    A prime that the reduction rejects is sigma-bad.  Among the other
     primes, each whose tuple strictly tau-precedes another's is certified
     bad; holders of the best (tau-maximal) tuple stay undecided.  The
     verdicts follow the order of primes.
     """
-    from .tuples import PRECEDES, precedes, tuple_max
-
-    tuples = {}
+    for p in primes:
+        _require_prime(p)
+    held, bad = {}, {}
     for p in primes:
         try:
-            tuples[p] = reduction_tuple(I, sigma, tau, p)
-        except BadPrimeForInput:
-            pass
-    best = tuple_max(tuples.values())
+            held[p] = reduction_tuple(I, sigma, tau, p)
+        except BadPrimeForInput as e:
+            bad[p] = sigma_bad_verdict(e)
+    best = tuples.tuple_max(held.values())
     verdicts = []
     for p in primes:
-        t = tuples.get(p)
+        t = held.get(p)
         if t is None:
-            verdicts.append(classify_prime(I, sigma, p))
-        elif precedes(t, best) == PRECEDES:
+            verdicts.append(bad[p])
+        elif tuples.precedes(t, best) == tuples.PRECEDES:
             verdicts.append(tau_bad_verdict(p, t, best))
         else:
             verdicts.append(PrimeVerdict(p, UNDECIDED, {"tuple": t}))

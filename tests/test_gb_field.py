@@ -70,6 +70,17 @@ def test_zero_and_unit_ideal():
     assert list(G) == [R.one()]
 
 
+def test_normal_form_rejects_a_basis_from_another_ring():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    I = Ideal(R, [x * x - y.scale(3), y * y - R.one()])
+    s = degrevlex(2)
+    G7 = reduction(I, s, 7).reduced_gb(s)
+    with pytest.raises(ValueError, match="different rings"):
+        normal_form(x * x * x, G7, s)
+    assert normal_form(reduce_mod_p(x * x * x, 7), G7, s) == reduce_mod_p(x * y.scale(3), 7)
+
+
 def test_normal_form_properties():
     rng = random.Random(9)
     for _ in range(30):
@@ -189,7 +200,7 @@ def test_budget_exceeded():
     x, y, z = R.gens()
     gens = [x * x - y, x * y + z + R.one(), z * z + x]
     with pytest.raises(BudgetExceeded):
-        buchberger_reduced(gens, lex(3), budget=0)
+        buchberger_reduced(gens, lex(3), counter=_Counter(0))
 
 
 def test_represent_golden_columns():

@@ -13,7 +13,6 @@ def test_lex_basic():
     s = lex(3)
     assert s.greater((1, 0, 0), (0, 5, 5))
     assert s.greater((1, 1, 0), (1, 0, 5))
-    assert s.compare((2, 0, 0), (2, 0, 0)) == 0
 
 
 def test_deglex_basic():
@@ -156,11 +155,6 @@ def test_matrix_order_rejects_non_term_order():
 def test_matrix_order_fraction_rows():
     m = matrix_order([["1/2", "1/3"], [1, 0]], 2)
     assert m.greater((1, 0), (0, 1))  # 1/2 > 1/3
-
-
-def test_compare_arity_check():
-    with pytest.raises(ValueError):
-        lex(3).compare((1, 0), (0, 1))
 
 
 def test_canonical_equality():

@@ -88,26 +88,6 @@ def test_single_prime_is_not_enough():
     assert lift_and_reconstruct(lifted(I, s, t, (5,)), R.names) is None
 
 
-def test_lift_retries_the_failed_coefficient_first(monkeypatch):
-    R, I = chained_doubling_ideal()
-    s, t = degrevlex(3), lex(3)
-    state = lifted(I, s, t, (5,))
-    calls = []
-    reconstruct = pipeline.rational_reconstruct
-    monkeypatch.setattr(
-        pipeline, "rational_reconstruct", lambda a, m: calls.append(a) or reconstruct(a, m)
-    )
-    assert lift_and_reconstruct(state, R.names) is None
-    first = len(calls)
-    assert lift_and_reconstruct(state, R.names) is None
-    assert len(calls) == first + 1
-    for p in (7, 11):
-        state.absorb(run_prime(I, s, t, p))
-    fresh = lifted(I, s, t, (5, 7, 11))
-    assert lift_and_reconstruct(state, R.names) == lift_and_reconstruct(fresh, R.names)
-    assert len(calls) == first + 1 + 2 * len(state.table)
-
-
 def test_monomial_ideal_lifts_from_one_prime():
     R = ring_qq("x", "y")
     x, y = R.gens()

@@ -1,5 +1,7 @@
 """Prime classification, reductions, the modular bad-prime detector."""
 
+import random
+
 import pytest
 
 from conftest import (
@@ -20,9 +22,10 @@ from modgb import (
     check_rad_identity,
     classify_prime,
     detect_tau_bad,
+    modular_gb,
     prim,
 )
-from modgb import fan
+from modgb import fan, primes
 from modgb.gb_field import is_zero_dimensional
 from modgb.orderings import degrevlex, lex, matrix_order
 from modgb.primes import (
@@ -109,6 +112,51 @@ def test_rational_coefficients_are_checked_before_any_work(engine_calls, monkeyp
         with pytest.raises(ValueError, match="rational coefficients"):
             call()
     assert engine_calls == []
+
+
+def test_moduli_are_checked_before_any_work(engine_calls, monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a basis was computed")
+
+    monkeypatch.setattr(fan, "buchberger_reduced", no_basis)
+    monkeypatch.setattr(primes, "strong_gb", no_basis)
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    I = Ideal(R, [x * x - y.scale(3), y * y - R.one()])
+    s = degrevlex(2)
+    F = [prim(g, s) for g in I.gens]
+    for p in (4, 1):
+        for call in (
+            lambda: reduction(I, s, p),
+            lambda: classify_prime(I, s, p),
+            lambda: pauer_lucky(F, s, p),
+            lambda: detect_tau_bad(I, s, lex(2), [3, p]),
+            lambda: fan.reduction_universal(I, p),
+        ):
+            with pytest.raises(ValueError, match="%d is not prime" % p):
+                call()
+    assert engine_calls == []
+
+
+def test_one_judge_of_sigma_badness(monkeypatch):
+    R = ring_qq("x", "y", "z")
+    x, y, z = R.gens()
+    I = Ideal(R, [x.scale(37) - y, y.scale(41) - z])
+    s, t = degrevlex(3), lex(3)
+    expected = [
+        {"prime": 37, "status": SIGMA_BAD, "witness_denominator": 1517},
+        {"prime": 41, "status": SIGMA_BAD, "witness_denominator": 41},
+    ]
+    ledger = modular_gb(I, t, prime_bits=6, rng=random.Random(1)).rejected
+    assert [v.to_dict() for v in ledger] == expected
+    detected = detect_tau_bad(I, s, t, [37, 41, 43])
+    assert [v.to_dict() for v in detected[:2]] == expected
+    assert detected[2].status == UNDECIDED
+    calls = []
+    reduce = primes.reduction
+    monkeypatch.setattr(primes, "reduction", lambda *a: calls.append(a) or reduce(*a))
+    assert [classify_prime(I, s, p).to_dict() for p in (37, 41)] == expected
+    assert calls == [(I, s, 37), (I, s, 41)]
 
 
 def test_reduction_seeds_its_reduced_sigma_basis():
