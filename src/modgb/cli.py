@@ -5,8 +5,9 @@ and flags.  A handler is a function of (spec, ideal, args) that returns
 its JSON payload and its text.  Only `main` reads the input, resolves the
 ordering flags --order, --sigma and --tau (unset means the ring's
 ordering, or the flag's default text), attaches MGB_BUDGET as args.budget
-to the commands that take --max-cones, prints, and maps errors to exit
-codes.
+to every command, prints, and maps errors to exit codes.  The budget
+bounds the reduction steps of the fan traversal and of the strong bases
+over ZZ.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import sys
 from .arith import factor, is_prime
 from .fan import DEFAULT_BUDGET, DEFAULT_MAX_CONES, FanBudgetExceeded
 from .fan import enumerate_fan, universal_denominator
-from .gb_field import normal_form
+from .gb_field import _Counter, normal_form
 from .gb_integer import lcm_sigma, strong_gb
 from .parsing import GRAMMAR as INPUT_GRAMMAR
 from .parsing import parse_input, parse_order_text, parse_poly_text
@@ -86,8 +87,8 @@ def _int_at_least(low):
 
 
 def _budget(parser):
-    """The fan traversal's reduction budget from MGB_BUDGET; unset or empty
-    means the default, and anything but a positive integer is a usage error."""
+    """The reduction budget from MGB_BUDGET; unset or empty means the
+    default, and anything but a positive integer is a usage error."""
     raw = os.environ.get("MGB_BUDGET")
     if not raw:
         return DEFAULT_BUDGET
@@ -136,7 +137,7 @@ def _cmd_strong_gb(spec, I, args):
         gens = I.gens
     else:
         raise ValueError("strong-gb needs coefficients in QQ or ZZ")
-    B = strong_gb(gens, args.order)
+    B = strong_gb(gens, args.order, _Counter(args.budget))
     strings = _basis_strings(B, args.order)
     lc_lcm = lcm_sigma(B)
     text = "%s\nlcm of leading coefficients: %d" % (_bracketed(strings), lc_lcm)
@@ -152,10 +153,12 @@ def _cmd_nf(spec, I, args):
 def _cmd_classify(spec, I, args):
     verdicts = [classify_prime(I, args.order, p) for p in _parse_primes(args.primes)]
     records, _ = _verdicts(verdicts, spec.names)
+    F = [prim(g, args.order) for g in I.gens]
+    counter = _Counter(args.budget)
     lines = []
     for v, rec in zip(verdicts, records):
         if v.status != SIGMA_BAD:
-            pl = pauer_lucky([prim(g, args.order) for g in I.gens], args.order, v.prime)
+            pl = pauer_lucky(F, args.order, v.prime, counter)
             rec["pauer"] = pl.status
             lines.append("%d: %s, %s" % (v.prime, v.status, pl.status))
         else:
@@ -279,8 +282,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "max_cones"):
-            args.budget = _budget(parser)
+        args.budget = _budget(parser)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -1,9 +1,29 @@
-"""Buchberger engine over field coefficients: normal forms and reduced bases."""
+"""Buchberger engine over field coefficients: normal forms and reduced bases.
+
+Over F_p the engine works on residues, and every reducer is monic.  Over QQ
+it works fraction-free, on integers.  A reducer is the primitive integer
+multiple of its polynomial, with a positive leading coefficient lc.  A
+polynomial under reduction is an integer polynomial w with one exact
+integer scale s, and stands for w / s.  A reduction step on a term c*x^t
+is a pseudo-division step: with g = gcd(c, lc), it multiplies w, the
+irreducible terms already emitted and s by lc / g, then subtracts
+(c / g) * x^(t - lt) * tail.  The content shared by w and s is divided out
+at the end, and during the reduction whenever s has grown by _GROWTH bits.
+
+Fractions exist only at the boundary: a QQ polynomial enters as
+den(f) * f with scale den(f), and every QQ polynomial a caller gets back
+has Fraction coefficients.  Every basis returned is monic.
+"""
 
 import heapq
+from fractions import Fraction
+from math import gcd
 from operator import add, le, neg, sub
 
-from .poly import Polynomial, leading, monic, pp_div, pp_divides, pp_lcm, pp_mul
+from .poly import QQ, Polynomial, den, leading, pp_div, pp_divides, pp_lcm, pp_mul
+
+# scale growth, in bits, between two divisions by the content during a reduction
+_GROWTH = 256
 
 
 class BudgetExceeded(RuntimeError):
@@ -11,15 +31,21 @@ class BudgetExceeded(RuntimeError):
 
 
 class ReducedGB:
-    """A reduced Groebner basis: monic elements sorted by increasing leading term."""
+    """A reduced Groebner basis: monic elements sorted by increasing leading term.
 
-    __slots__ = ("ordering", "elements")
+    It keeps the engine's reducer entries of its elements once built.
+    """
+
+    __slots__ = ("ordering", "elements", "entries")
 
     def __init__(self, ordering, elements):
         self.ordering = ordering
         self.elements = list(elements)
+        self.entries = None
 
     def leading_terms(self):
+        if self.entries is not None:
+            return [e[0] for e in sorted(self.entries, key=lambda e: e[3])]
         return [leading(g, self.ordering)[0] for g in self.elements]
 
     def __iter__(self):
@@ -55,15 +81,16 @@ class _Counter:
 
 
 class _Work:
-    """A polynomial under reduction: its terms in a dict beside a heap of
-    negated ordering keys, so the sigma-largest term pops first.  A popped
-    entry whose term is no longer in the dict (cancelled, or a duplicate of
-    a term already handled, which sits next to it) is stale and skipped."""
+    """A polynomial under reduction, terms / scale: its terms in a dict beside
+    a heap of negated ordering keys, so the sigma-largest term pops first.  A
+    popped entry whose term is no longer in the dict (cancelled, or a
+    duplicate of a term already handled, which sits next to it) is stale and
+    skipped.  The scale stays 1 over F_p."""
 
-    __slots__ = ("terms", "heap", "key", "p")
+    __slots__ = ("terms", "heap", "key", "p", "scale")
 
-    def __init__(self, terms, key, p):
-        self.terms, self.key, self.p = terms, key, p
+    def __init__(self, terms, key, p, scale=1):
+        self.terms, self.key, self.p, self.scale = terms, key, p, scale
         self.heap = [(tuple(map(neg, key(t))), t) for t in terms]
         heapq.heapify(self.heap)
 
@@ -86,17 +113,73 @@ class _Work:
                 del terms[u]
 
 
-def _reducer(g, lt, lc, pos):
-    """Reducer entry (leading term, inverse leading coefficient, tail, position)."""
-    return lt, g.ring.domain.invert(lc), [(s, a) for s, a in g.terms.items() if s != lt], pos
+def _integral(f):
+    """(terms, scale) of f as the engine holds it: its residues and 1 over
+    F_p, the integer polynomial den(f) * f and den(f) over QQ.  Every
+    polynomial enters the engine here, so this one check keeps ZZ out."""
+    if f.ring.domain.characteristic:
+        return dict(f.terms), 1
+    if f.ring.domain is not QQ:
+        raise ValueError("ZZ is not a field: use strong_gb (modgb strong-gb) over ZZ")
+    d = den(f)
+    return {t: c.numerator * (d // c.denominator) for t, c in f.terms.items()}, d
+
+
+def _polynomial(ring, terms, scale=1):
+    """The polynomial terms / scale: residues as they are, Fractions over QQ."""
+    if ring.domain.characteristic:
+        return Polynomial(ring, terms)
+    return Polynomial(ring, {t: Fraction(c, scale) for t, c in terms.items()})
+
+
+def _entry(terms, lt, pos, p):
+    """Reducer entry (leading term, leading coefficient, tail, position) of
+    the polynomial with these terms: monic over F_p, primitive with a
+    positive leading coefficient over QQ."""
+    lc = terms[lt]
+    if p:
+        inv = pow(lc, -1, p)
+        return lt, 1, [(s, a * inv % p) for s, a in terms.items() if s != lt], pos
+    g = gcd(*terms.values())
+    if lc < 0:
+        g = -g
+    return lt, lc // g, [(s, a // g) for s, a in terms.items() if s != lt], pos
+
+
+def _basis(ring, sigma, entries):
+    """The ReducedGB of the monic polynomials of reducer entries, which it keeps."""
+    G = ReducedGB(sigma, [_polynomial(ring, dict([e[:2]] + e[2]), e[1]) for e in entries])
+    G.entries = entries
+    return G
+
+
+def _reducer(g, pos, sigma):
+    """Reducer entry of the polynomial g at list position pos."""
+    return _entry(_integral(g)[0], leading(g, sigma)[0], pos, g.ring.domain.characteristic)
 
 
 def _reducers(polys, sigma):
     """Reducer entries with the deterministic choice rule: sigma-smallest
-    leading term first, ties broken by list position."""
-    entries = [_reducer(g, *leading(g, sigma), pos) for pos, g in enumerate(polys)]
+    leading term first, ties broken by list position.  A reduced sigma-basis
+    keeps them."""
+    kept = isinstance(polys, ReducedGB) and (polys.ordering is sigma or polys.ordering == sigma)
+    if kept and polys.entries is not None:
+        return polys.entries
+    entries = [_reducer(g, pos, sigma) for pos, g in enumerate(polys)]
     entries.sort(key=lambda e: sigma.key(e[0]))
+    if kept:
+        polys.entries = entries
     return entries
+
+
+def _divide_content(work, *parts):
+    """Divide the work's scale and the term dicts parts by the gcd of them all."""
+    g = gcd(work.scale, *(c for d in parts for c in d.values()))
+    if g > 1:
+        work.scale //= g
+        for d in parts:
+            for t in d:
+                d[t] //= g
 
 
 def _reduce(work, reducers, counter=None, full=True, on_step=None):
@@ -104,19 +187,30 @@ def _reduce(work, reducers, counter=None, full=True, on_step=None):
 
     With full=False reduction stops at the first irreducible head and the
     remaining term dict, head included, is returned; otherwise the
-    irreducible terms are returned as a new dict.  on_step(pos, shift,
-    factor) sees each step, which subtracts factor * x^shift * reducer.
+    irreducible terms are returned as a new dict, whose content is then
+    divided out together with the scale.  Either way the result stands for
+    its terms / work.scale.  on_step(pos, shift, factor, scale) sees each
+    step, which subtracts factor / scale * x^shift times the monic
+    polynomial of the reducer at position pos.
+
+    A step by a reducer with leading coefficient lc = 1, as every F_p
+    reducer has, subtracts c * x^shift * tail.  Otherwise it is the
+    pseudo-division step of the module docstring: the work, the terms
+    already returned and the scale are multiplied by lc / gcd(c, lc), which
+    keeps the scale exact, and the content is divided out whenever the scale
+    has grown by _GROWTH bits.
     """
     # pp_divides, pp_div and pp_mul are inlined in this loop and in
     # _Work.sub: the calls cost about a sixth of the F_p kernel's time
     terms, heap, p = work.terms, work.heap, work.p
     out = {}
+    limit = work.scale.bit_length() + _GROWTH
     while heap:
         t = heapq.heappop(heap)[1]
         c = terms.get(t)
         if c is None:
             continue
-        for lt, inv, tail, pos in reducers:
+        for lt, lc, tail, pos in reducers:
             if all(map(le, lt, t)):
                 break
         else:
@@ -127,37 +221,61 @@ def _reduce(work, reducers, counter=None, full=True, on_step=None):
         del terms[t]
         if counter is not None:
             counter.spend()
-        factor = c * inv % p if p else c * inv
         shift = tuple(map(sub, t, lt))
         if on_step is not None:
-            on_step(pos, shift, factor)
-        work.sub(factor, shift, tail)
-    return out if full else terms
+            on_step(pos, shift, c, work.scale)
+        if lc == 1:
+            work.sub(c, shift, tail)
+            continue
+        g = gcd(c, lc)
+        if g != lc:
+            m = lc // g
+            for s in terms:
+                terms[s] *= m
+            for s in out:
+                out[s] *= m
+            work.scale *= m
+        work.sub(c // g, shift, tail)
+        if work.scale.bit_length() > limit:
+            _divide_content(work, terms, out)
+            limit = work.scale.bit_length() + _GROWTH
+    if not full:
+        return terms
+    if work.scale != 1:
+        _divide_content(work, out)
+    return out
 
 
 def normal_form(f, G, sigma):
     """Full normal form of f against the polynomials G, which must lie in f's
     ring (deterministic reducer choice)."""
-    basis = list(G)
-    if not basis:
+    if not isinstance(G, ReducedGB):
+        G = list(G)
+    if not G:
         return f
-    if any(g.ring != f.ring for g in basis):
+    if any(g.ring != f.ring for g in G):
         raise ValueError("the polynomial and the basis lie in different rings")
-    work = _Work(dict(f.terms), sigma.key, f.ring.domain.characteristic)
-    return Polynomial(f.ring, _reduce(work, _reducers(basis, sigma)))
+    p = f.ring.domain.characteristic
+    terms, scale = _integral(f)
+    work = _Work(terms, sigma.key, p, scale)
+    r = _reduce(work, _reducers(G, sigma))
+    return _polynomial(f.ring, r, work.scale)
 
 
 def _divide(work, reducers, row, reps, counter=None, full=True):
     """_reduce that also tracks coefficients: returns the remainder and
-    row - sum_k q_k * reps[k], q_k the quotient by the reducer at position k.
+    row - sum_k q_k * reps[k], q_k the quotient by the monic polynomial of
+    the reducer at position k.
 
-    When row is the coefficient vector of the work polynomial, so is the
-    returned one of the remainder.
+    When row is the coefficient vector of the work polynomial, terms /
+    scale, so is the returned one of the remainder over its final scale.
     """
     quotients = {}
 
-    def record(pos, shift, factor):
-        quotients.setdefault(pos, []).append((shift, factor))
+    def record(pos, shift, factor, scale):
+        quotients.setdefault(pos, []).append(
+            (shift, factor if scale == 1 else Fraction(factor, scale))
+        )
 
     r = _reduce(work, reducers, counter, full, record)
     for pos, terms in quotients.items():
@@ -167,14 +285,17 @@ def _divide(work, reducers, row, reps, counter=None, full=True):
 
 
 def _s_work(ra, rb, key, p):
-    """The S-polynomial of the reducer entries of two monic polynomials, as
+    """The S-polynomial of the monic polynomials of two reducer entries, as
     a _Work: their leading terms cancel, so it is built from the shifted
-    tails."""
-    (lta, _, taila, _), (ltb, one, tailb, _) = ra, rb
+    tails.  Over QQ its terms are lcm(lc_a, lc_b) times the S-polynomial,
+    and that lcm is its scale."""
+    (lta, lca, taila, _), (ltb, lcb, tailb, _) = ra, rb
     l = pp_lcm(lta, ltb)
     sa = pp_div(l, lta)
-    work = _Work({pp_mul(t, sa): c for t, c in taila}, key, p)
-    work.sub(one, pp_div(l, ltb), tailb)
+    g = gcd(lca, lcb)
+    ma, mb = lcb // g, lca // g
+    work = _Work({pp_mul(t, sa): ma * c for t, c in taila}, key, p, ma * lca)
+    work.sub(mb, pp_div(l, ltb), tailb)
     return work
 
 
@@ -207,7 +328,8 @@ def _gm_update(lts, pairs, j, sigma):
 
 
 def buchberger(gens, sigma, counter=None, reps=None):
-    """A monic (not reduced) Groebner basis of the ideal generated by gens.
+    """The reducer entries, in insertion order, of a (not reduced) Groebner
+    basis of the ideal generated by gens.
 
     S-pairs are taken by the sugar strategy (Giovini-Mora-Niesi-Robbiano-
     Traverso 1991): least sugar first, then the sigma-smallest lcm, then
@@ -216,27 +338,31 @@ def buchberger(gens, sigma, counter=None, reps=None):
     element appended from a pair inherits the pair's sugar.
 
     Head reduction uses the first-inserted applicable basis element.  When a
-    list reps is given, it receives each element's coefficients in gens:
-    basis[k] == sum(reps[k][i] * gens[i]).
+    list reps is given, it receives the coefficients in gens of each
+    element's monic polynomial b_k: b_k == sum(reps[k][i] * gens[i]).
     """
-    basis = []
+    gens = list(gens)
+    live = [f for f in gens if not f.is_zero()]
+    if not live:
+        return []
+    ring = live[0].ring
+    dom, p = ring.domain, ring.domain.characteristic
+    entries = []
     lts = []
     sugar = []
-    reducers = []
     pairs = set()
     heap = []
     key = sigma.key
 
-    def append(f, rep, f_sugar):
-        lt, lc = leading(f, sigma)
-        inv = f.ring.domain.invert(lc)
-        basis.append(f.scale(inv))
+    def append(terms, lt, scale, f_sugar, rep):
+        """Append the polynomial terms / scale, whose coefficients in gens are rep."""
+        entries.append(_entry(terms, lt, len(entries), p))
         lts.append(lt)
         sugar.append(f_sugar)
-        reducers.append(_reducer(basis[-1], lt, f.ring.domain.one, len(basis) - 1))
         if reps is not None:
+            inv = dom.invert(dom.coerce(Fraction(terms[lt], scale)))
             reps.append([x.scale(inv) for x in rep])
-        for a, b in _gm_update(lts, pairs, len(basis) - 1, sigma):
+        for a, b in _gm_update(lts, pairs, len(entries) - 1, sigma):
             pairs.add((a, b))
             l = pp_lcm(lts[a], lts[b])
             pair_sugar = max(sugar[a] - sum(lts[a]), sugar[b] - sum(lts[b])) + sum(l)
@@ -246,30 +372,28 @@ def buchberger(gens, sigma, counter=None, reps=None):
         if not f.is_zero():
             unit = None
             if reps is not None:
-                unit = [f.ring.one() if k == i else f.ring.zero() for k in range(len(gens))]
-            append(f, unit, max(map(sum, f.terms)))
-    if not basis:
-        return []
+                unit = [ring.one() if k == i else ring.zero() for k in range(len(gens))]
+            terms, scale = _integral(f)
+            append(terms, leading(f, sigma)[0], scale, max(map(sum, terms)), unit)
 
-    ring = basis[0].ring
-    one, p = ring.domain.one, ring.domain.characteristic
+    one = dom.one
     while heap:
         pair_sugar, _, (a, b) = heapq.heappop(heap)
         if (a, b) not in pairs:
             continue
         pairs.discard((a, b))
-        work = _s_work(reducers[a], reducers[b], key, p)
+        work = _s_work(entries[a], entries[b], key, p)
         rep = None
         if reps is None:
-            s = _reduce(work, reducers, counter, full=False)
+            s = _reduce(work, entries, counter, full=False)
         else:
             l = pp_lcm(lts[a], lts[b])
             sa, sb = pp_div(l, lts[a]), pp_div(l, lts[b])
             rep = [x.mul_term(sa, one) - y.mul_term(sb, one) for x, y in zip(reps[a], reps[b])]
-            s, rep = _divide(work, reducers, rep, reps, counter, full=False)
+            s, rep = _divide(work, entries, rep, reps, counter, full=False)
         if s:
-            append(Polynomial(ring, s), rep, pair_sugar)
-    return basis
+            append(s, max(s, key=key), work.scale, pair_sugar, rep)
+    return entries
 
 
 def buchberger_reduced(gens, sigma, counter=None):
@@ -279,24 +403,27 @@ def buchberger_reduced(gens, sigma, counter=None):
     A counter budgets the reduction steps, shared when several computations
     are budgeted jointly.
     """
-    basis = buchberger(gens, sigma, counter)
-    if not basis:
+    gens = list(gens)
+    entries = buchberger(gens, sigma, counter)
+    if not entries:
         return ReducedGB(sigma, [])
     # the minimal basis, as reducers in increasing leading-term order
     minimal = []
-    for r in _reducers(basis, sigma):
+    for r in sorted(entries, key=lambda e: sigma.key(e[0])):
         if not any(pp_divides(m[0], r[0]) for m in minimal):
             minimal.append(r)
-    # Each monic element's tail is reduced against all of them: its own
-    # leading term divides none of the (smaller) terms met on the way.
-    ring = basis[0].ring
+    # Each element's tail, over its leading coefficient, is reduced against
+    # all of them: its own leading term divides none of the (smaller) terms
+    # met on the way.
+    ring = gens[0].ring
     p = ring.domain.characteristic
     reduced = []
-    for lt, _, tail, _ in minimal:
-        terms = {lt: ring.domain.one}
-        terms.update(_reduce(_Work(dict(tail), sigma.key, p), minimal, counter))
-        reduced.append(Polynomial(ring, terms))
-    return ReducedGB(sigma, reduced)
+    for lt, lc, tail, _ in minimal:
+        work = _Work(dict(tail), sigma.key, p, lc)
+        r = _reduce(work, minimal, counter)
+        # r and its scale have no common factor, so this entry is primitive
+        reduced.append((lt, work.scale, list(r.items()), len(reduced)))
+    return _basis(ring, sigma, reduced)
 
 
 def is_zero_dimensional(G):
@@ -311,14 +438,20 @@ def fglm(G, tau, counter=None):
 
     Monomials are visited in increasing tau order, skipping multiples of the
     tau-leading terms found so far.  The G-normal form of x_i * m is that of
-    m, shifted by x_i and reduced again.  Echelon rows keep their pivot
-    inverse and the multipliers of the rows that built them; when a normal form
-    eliminates to zero, back-substitution gives the element m - sum c_j b_j.
+    m, shifted by x_i and reduced again; it is kept as the engine holds it,
+    terms with one scale.  Each echelon row carries its combination of those
+    normal forms; when a normal form eliminates to zero, its combination
+    gives the element m - sum c_j m_j.
+
+    Over F_p the rows are monic.  Over QQ the elimination is fraction-free:
+    a row with pivot coefficient a eliminates the entry f of a vector by
+    multiplying the vector and its combination by a / gcd(a, f) and
+    subtracting f / gcd(a, f) times the row; a new row is made primitive.
     """
     sigma, ring = G.ordering, G[0].ring
-    dom, n = ring.domain, ring.n
-    p = dom.characteristic
-    reducers = _reducers(G.elements, sigma)
+    n, p = ring.n, ring.domain.characteristic
+    reducers = _reducers(G, sigma)
+    heads = [e[0] for e in reducers]
 
     def subtract(v, f, w):
         """v -= f * w, in place."""
@@ -331,43 +464,57 @@ def fglm(G, tau, counter=None):
             else:
                 v.pop(t, None)
 
+    def multiply(f, d, *vs):
+        """v = v * f / d, in place, for each v in vs."""
+        for v in vs:
+            for t in v:
+                v[t] = v[t] * f // d % p if p else v[t] * f // d
+
     one = (0,) * n
-    rows = []  # (pivot, its inverse, echelon row, monomial, normal form, {row: multiplier})
-    lts, elements = [], []
+    rows = []  # (pivot, pivot coefficient, echelon row, combination, normal form, its scale)
+    lts, entries = [], []
     heap, seen = [(tau.key(one), one, None, 0)], {one}
     while heap:
         _, m, parent, i = heapq.heappop(heap)
         if any(all(map(le, lt, m)) for lt in lts):
             continue
         if parent is None:
-            start = {one: dom.one}
+            nf, s = {one: 1}, 1
         else:
-            start = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in rows[parent][4].items()}
-        nf = _reduce(_Work(start, sigma.key, p), reducers, counter)
-        v, used = dict(nf), {}
-        for k, (pivot, inv, w, _, _, _) in enumerate(rows):
+            nf, s = rows[parent][4:]
+            nf = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in nf.items()}
+        if any(all(map(le, lt, t)) for t in nf for lt in heads):
+            work = _Work(nf, sigma.key, p, s)
+            nf, s = _reduce(work, reducers, counter), work.scale
+        # v = sum comb[m_j] * NF(m_j): v is the normal form times its scale
+        v, comb = dict(nf), {m: s}
+        for pivot, a, w, wc, _, _ in rows:
             f = v.get(pivot)
             if f:
-                used[k] = f * inv % p if p else f * inv
-                subtract(v, used[k], w)
+                if a != 1:
+                    g = gcd(a, f)
+                    if g != a:
+                        multiply(a // g, 1, v, comb)
+                    f //= g
+                subtract(v, f, w)
+                subtract(comb, f, wc)
         if not v:
-            comb = {m: dom.one}
-            for k in reversed(range(len(rows))):
-                f = used.pop(k, None)
-                if f:
-                    comb[rows[k][3]] = -f % p if p else -f
-                    subtract(used, f, rows[k][5])
             lts.append(m)
-            elements.append(Polynomial(ring, comb))
+            entries.append(_entry(comb, m, len(entries), p))
             continue
+        # the new row is made monic over F_p, primitive over QQ
         pivot = next(iter(v))
-        rows.append((pivot, dom.invert(v[pivot]), v, m, nf, used))
+        if p:
+            multiply(pow(v[pivot], -1, p), 1, v, comb)
+        else:
+            multiply(1 if v[pivot] > 0 else -1, gcd(*v.values(), *comb.values()), v, comb)
+        rows.append((pivot, v[pivot], v, comb, nf, s))
         for j in range(n):
             u = m[:j] + (m[j] + 1,) + m[j + 1 :]
             if u not in seen:
                 seen.add(u)
                 heapq.heappush(heap, (tau.key(u), u, len(rows) - 1, j))
-    return ReducedGB(tau, elements)
+    return _basis(ring, tau, entries)
 
 
 def _convert(G, tau, counter=None):
@@ -375,7 +522,7 @@ def _convert(G, tau, counter=None):
     leading term under tau (<lt_tau G> = in(I) lies in in_tau(I), and both
     standard-monomial sets are bases of R/I, so they agree), else by FGLM if
     G is zero-dimensional, else by Buchberger."""
-    if all(leading(g, tau)[0] == leading(g, G.ordering)[0] for g in G):
+    if all(leading(g, tau)[0] == lt for g, lt in zip(G, G.leading_terms())):
         return ReducedGB(tau, sorted(G, key=lambda g: tau.key(leading(g, tau)[0])))
     if is_zero_dimensional(G):
         return fglm(G, tau, counter)
@@ -396,15 +543,16 @@ def min_lt(G):
 
 def s_polynomial(f, g, sigma):
     """S-polynomial of f and g (field coefficients)."""
-    ra, rb = (_reducer(h, *leading(h, sigma), 0) for h in (monic(f, sigma), monic(g, sigma)))
-    return Polynomial(f.ring, _s_work(ra, rb, sigma.key, f.ring.domain.characteristic).terms)
+    p = f.ring.domain.characteristic
+    work = _s_work(_reducer(f, 0, sigma), _reducer(g, 0, sigma), sigma.key, p)
+    return _polynomial(f.ring, work.terms, work.scale)
 
 
 def is_groebner(basis, sigma):
     """Buchberger's criterion on the S-pairs that the product and chain
     criteria keep, taken as buchberger takes them: all reduce to zero."""
-    polys = [monic(g, sigma) for g in basis if not g.is_zero()]
-    entries = [_reducer(g, *leading(g, sigma), pos) for pos, g in enumerate(polys)]
+    polys = [g for g in basis if not g.is_zero()]
+    entries = [_reducer(g, pos, sigma) for pos, g in enumerate(polys)]
     lts, pairs = [], set()
     for j, e in enumerate(entries):
         lts.append(e[0])
@@ -431,11 +579,12 @@ def represent(G, F, sigma):
     """
     F = list(F)
     reps = []
-    reducers = _reducers(buchberger(F, sigma, reps=reps), sigma)
+    reducers = sorted(buchberger(F, sigma, reps=reps), key=lambda e: sigma.key(e[0]))
     zeros = [f.ring.zero() for f in F]
     columns = []
     for g in G:
-        work = _Work(dict(g.terms), sigma.key, g.ring.domain.characteristic)
+        terms, scale = _integral(g)
+        work = _Work(terms, sigma.key, g.ring.domain.characteristic, scale)
         r, rep = _divide(work, reducers, zeros, reps)
         if r:
             raise ValueError("element is not in the ideal generated by F")

@@ -64,9 +64,10 @@ def _lm_divides(lt1, lc1, lt2, lc2):
     return pp_divides(lt1, lt2) and lc2 % lc1 == 0
 
 
-def _strong_head_reduce(work, basis):
+def _strong_head_reduce(work, basis, counter=None):
     """Reduce the head of a _Work in place while some basis entry (g, lt, lc)
-    has lt | t and lc | c, taking the first such entry.
+    has lt | t and lc | c, taking the first such entry; each step is spent
+    from counter.
 
     Returns the irreducible head term, left in work.terms but off the heap,
     or None when the work reduced to zero.
@@ -84,17 +85,20 @@ def _strong_head_reduce(work, basis):
             while heap and heap[0][1] == t:  # duplicates of the head
                 heapq.heappop(heap)
             return t
+        if counter is not None:
+            counter.spend()
         # subtracting the whole of g, leading term included, cancels t
         work.sub(c // lc, tuple(map(sub, t, lt)), g.terms.items())
     return None
 
 
-def _tail_reduce(work, basis):
+def _tail_reduce(work, basis, counter=None):
     """Reduce every term left on a _Work's heap by one Euclidean step, in place.
 
     The coefficient c of a term t becomes its symmetric remainder modulo lc,
     for the basis entry (g, lt, lc) with lt | t and the smallest lc, ties
-    broken by position.  Returns the term dict.
+    broken by position.  Each step that changes c is spent from counter.
+    Returns the term dict.
     """
     terms, heap = work.terms, work.heap
     while heap:
@@ -113,12 +117,18 @@ def _tail_reduce(work, basis):
         if 2 * r > lc:
             r -= lc
         if r != c:
+            if counter is not None:
+                counter.spend()
             work.sub((c - r) // lc, tuple(map(sub, t, lt)), g.terms.items())
     return terms
 
 
-def strong_gb(gens, sigma):
-    """A minimal strong sigma-Groebner basis of the ideal generated in ZZ[x]."""
+def strong_gb(gens, sigma, counter=None):
+    """A minimal strong sigma-Groebner basis of the ideal generated in ZZ[x].
+
+    A counter (gb_field._Counter) budgets the head and tail reduction steps;
+    BudgetExceeded is raised when it runs out.
+    """
     if any(g.ring.domain is not ZZ for g in gens):
         raise ValueError("strong_gb needs integer coefficients")
     todo = [g for g in gens if not g.is_zero()]
@@ -131,7 +141,7 @@ def strong_gb(gens, sigma):
     queued = set()  # the S-pairs still on the heap
 
     def append(work, lt):
-        terms = _tail_reduce(work, basis)
+        terms = _tail_reduce(work, basis, counter)
         if terms[lt] < 0:
             terms = {t: -c for t, c in terms.items()}
         lc = terms[lt]
@@ -181,13 +191,13 @@ def strong_gb(gens, sigma):
         sh = pp_div(l, lti)
         work = _Work({pp_mul(t, sh): a * v for t, v in f.terms.items()}, key, 0)
         work.sub(b, pp_div(l, ltj), g.terms.items())
-        head = _strong_head_reduce(work, basis)
+        head = _strong_head_reduce(work, basis, counter)
         if head is not None:
             append(work, head)
-    return StrongGB(sigma, _normalize_output(basis, sigma))
+    return StrongGB(sigma, _normalize_output(basis, sigma, counter))
 
 
-def _normalize_output(basis, sigma):
+def _normalize_output(basis, sigma, counter):
     """Minimalize by leading-monomial divisibility, then tail-reduce."""
     key = sigma.key
     minimal = []
@@ -200,7 +210,7 @@ def _normalize_output(basis, sigma):
     for g, _, _ in minimal:
         work = _Work(dict(g.terms), key, 0)
         heapq.heappop(work.heap)
-        out.append(Polynomial(g.ring, _tail_reduce(work, minimal)))
+        out.append(Polynomial(g.ring, _tail_reduce(work, minimal, counter)))
     return out
 
 

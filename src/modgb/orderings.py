@@ -126,7 +126,7 @@ class MatrixOrder(TermOrdering):
 def _integer_row(row):
     """The row scaled by the positive lcm of its denominators."""
     d = math.lcm(*(w.denominator for w in row))
-    return tuple(int(w * d) for w in row)
+    return tuple(w.numerator * (d // w.denominator) for w in row)
 
 
 def _rank(rows):

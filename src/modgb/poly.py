@@ -52,8 +52,8 @@ class _Integers:
         return int(c)
 
     def invert(self, c):
-        # every field-engine routine inverts a leading coefficient before
-        # any other work, so this one check keeps ZZ out of all of them
+        # the field engine does not invert (it reduces QQ fraction-free); it
+        # refuses ZZ by its own domain check, where a polynomial enters it
         raise ValueError("ZZ is not a field: use strong_gb (modgb strong-gb) over ZZ")
 
     def __repr__(self):

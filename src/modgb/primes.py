@@ -93,10 +93,11 @@ def reduction(I, sigma, p):
     return _reduce_basis(I, I.reduced_gb(sigma), field)
 
 
-def pauer_lucky(F, sigma, p):
-    """Pauer-luckiness of p for a set of integer polynomials."""
+def pauer_lucky(F, sigma, p, counter=None):
+    """Pauer-luckiness of p for a set of integer polynomials; counter budgets
+    the strong basis (see strong_gb)."""
     _require_prime(p)
-    B = strong_gb(list(F), sigma)
+    B = strong_gb(list(F), sigma, counter)
     for g in B:
         lc = leading(g, sigma)[1]
         if lc % p == 0:

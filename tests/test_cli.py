@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from conftest import timed
 from modgb import fan as fan_module
 from modgb.cli import main
 
@@ -430,3 +431,17 @@ def test_empty_ordering_text_exits_1_with_its_position(write, capsys, argv):
     code, out, err = run(capsys, *argv, write(LINEAR))
     assert (code, out) == (1, "")
     assert err == "error: syntax at line 1, column 1: expected a term ordering, found 'end of input'\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "--primes", "3"], ["strong-gb"]], ids=["classify", "strong-gb"]
+)
+def test_reduction_budget_bounds_the_strong_basis(write, capsys, monkeypatch, argv):
+    # the strong basis of the lex generators of the many-bad-primes ideal
+    # runs for minutes; MGB_BUDGET ends it with one line on stderr
+    monkeypatch.setenv("MGB_BUDGET", "1000")
+    path = write(MANYBAD_LEX)
+    with timed(20.0):
+        code, out, err = run(capsys, *argv, path)
+    assert code == 1 and out == ""
+    assert "reduction budget" in err and "Traceback" not in err

@@ -20,6 +20,7 @@ from modgb import (
     Ideal,
     PolyRing,
     QQ,
+    ReducedGB,
     ZZ,
     buchberger_reduced,
     fglm,
@@ -383,6 +384,8 @@ def test_the_field_engine_rejects_integer_coefficients(a, b):
         lambda: is_groebner(F, s),
         lambda: s_polynomial(F[0], F[1], s),
         lambda: fan.universal_denominator(Ideal(R, F)),
+        lambda: fglm(ReducedGB(s, F), lex(2)),
+        lambda: represent(F, F, s),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="ZZ is not a field|rational"):
@@ -397,3 +400,21 @@ def test_fglm_of_the_unit_ideal():
     assert list(G) == [R.one()] and not is_zero_dimensional(G)
     assert list(I.reduced_gb(lex(2))) == [R.one()]
     assert list(fglm(G, lex(2))) == [R.one()]
+
+
+@pytest.mark.parametrize(
+    "make", [many_bad_primes_ideal, twelve_cone_ideal], ids=["many_bad_primes", "twelve_cone"]
+)
+def test_rational_results_have_fraction_coefficients(make):
+    # the engine computes over QQ on integers; every coefficient it returns
+    # must still be a Fraction, which Polynomial.__eq__ alone would not show
+    R, I = make()
+    s = degrevlex(3)
+    x, y, z = R.gens()
+    G = buchberger_reduced(I.gens, s)
+    f = x * x * x * y + (y * z * z).scale(Fraction(5, 3)) + R.const(Fraction(1, 7))
+    results = list(G) + list(fglm(G, lex(3))) + [normal_form(f, G, s)]
+    results += [s_polynomial(G[0], G[-1], s), s_polynomial(I.gens[0], I.gens[1], s)]
+    results += [c for column in represent(G[:2], I.gens, s) for c in column]
+    assert all(g for g in results[: len(G) + 3])
+    assert all(type(c) is Fraction for g in results for c in g.terms.values())

@@ -12,10 +12,11 @@ from modgb import (
     leading_monomial_set,
     lcm_sigma,
     parse_input,
+    pauer_lucky,
     prim,
     strong_gb,
 )
-from modgb.gb_field import _Work
+from modgb.gb_field import BudgetExceeded, _Counter, _Work
 from modgb.gb_integer import _lm_divides, _strong_head_reduce
 from modgb.orderings import degrevlex, lex
 from modgb.poly import leading as lead
@@ -194,3 +195,18 @@ def test_rad_identity_instance_104():
         assert check_rad_identity(I, s)[2]
         B = strong_gb([prim(g, s) for g in I.reduced_gb(s)], s)
         assert lcm_sigma(B) == 287729082900
+
+
+def test_strong_gb_spends_its_budget():
+    Z = ring_zz("x", "y")
+    x, y = Z.gens()
+    F = [x.scale(2) - y, y * y.scale(3) + x]
+    s = degrevlex(2)
+    counter = _Counter(10**6)
+    assert leading_monomial_set(strong_gb(F, s, counter)) == leading_monomial_set(strong_gb(F, s))
+    spent = 10**6 - counter.left
+    assert spent > 0
+    with pytest.raises(BudgetExceeded):
+        strong_gb(F, s, _Counter(spent - 1))
+    with pytest.raises(BudgetExceeded):
+        pauer_lucky(F, s, 5, _Counter(spent - 1))

@@ -15,6 +15,7 @@ from conftest import (
     twelve_cone_ideal,
 )
 from modgb import GF, ZZ, Ideal, PolyRing, buchberger_reduced, detect_tau_bad, modular_gb
+from modgb import Polynomial, parse_input
 from modgb import pipeline
 from modgb.gb_field import is_groebner, is_zero_dimensional
 from modgb.orderings import degrevlex, lex
@@ -362,3 +363,31 @@ def test_modular_gb_random_ideals_agree_with_direct():
         result = modular_gb(I, t, rng=random.Random(done))
         assert list(result.basis) == list(buchberger_reduced(I.gens, t))
         done += 1
+
+
+KATSURA5 = (
+    "ring QQ[u0,u1,u2,u3,u4,u5] lex;\n"
+    "ideal(u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 + 2*u5 - 1,"
+    " u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 + 2*u5^2 - u0,"
+    " 2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 + 2*u4*u5 - u1,"
+    " 2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 + 2*u3*u5 - u2,"
+    " 2*u0*u3 + 2*u1*u2 + 2*u1*u4 + 2*u2*u5 - u3,"
+    " 2*u0*u4 + 2*u1*u3 + u2^2 + 2*u1*u5 - u4);\n"
+)
+
+
+def test_katsura5_verification_is_timed():
+    # The reverse normal forms of the lex basis against the degrevlex basis
+    # took 3.1 s to accept and 4.1 s to reject with Fraction arithmetic,
+    # and about 0.25 s each fraction-free (x86-64, Python 3.11).
+    spec, ideals, _ = parse_input(KATSURA5)
+    I, t = ideals[0], spec.ordering
+    G = list(I.reduced_gb(t))  # caches the degrevlex basis too
+    g = G[-1]
+    tail = next(s for s in g.terms if s != leading(g, t)[0])
+    terms = dict(g.terms)
+    terms[tail] += 1
+    bad = G[:-1] + [Polynomial(g.ring, terms)]
+    with timed(3.0):
+        assert verify_candidate(G, I, t)
+        assert not verify_candidate(bad, I, t)
