@@ -17,7 +17,7 @@ def is_prime(n):
     """Miller-Rabin primality test (deterministic below 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -116,13 +116,11 @@ def crt_pair(r1, m1, r2, m2):
     """Combine r mod m1 and r mod m2 into r mod m1*m2 for coprime moduli."""
     if m1 < 2 or m2 < 2:
         raise ValueError("moduli must be >= 2")
-    g, u, _ = _ext_gcd(m1, m2)
-    if g != 1:
+    if math.gcd(m1, m2) != 1:
         raise ValueError("moduli %s and %s are not coprime" % (m1, m2))
     m = m1 * m2
-    # r = r1 + m1 * u * (r2 - r1) mod m  satisfies both congruences.
-    r = (r1 + m1 * (u * (r2 - r1) % m2)) % m
-    return r, m
+    # r = r1 + m1 * u * (r2 - r1) mod m, u = 1/m1 mod m2, satisfies both congruences.
+    return (r1 + m1 * (pow(m1, -1, m2) * (r2 - r1) % m2)) % m, m
 
 
 def _ext_gcd(a, b):
@@ -180,9 +178,6 @@ def unused_prime(bits, used):
 
 def lcm(*values):
     """Positive lcm of the given nonzero integers; lcm() == 1."""
-    out = 1
-    for v in values:
-        if v == 0:
-            raise ValueError("lcm of zero is undefined")
-        out = out * abs(v) // math.gcd(out, abs(v))
-    return out
+    if 0 in values:
+        raise ValueError("lcm of zero is undefined")
+    return math.lcm(*values)

@@ -29,7 +29,7 @@ from .primes import (
     check_rad_identity,
     classify_prime,
     detect_tau_bad,
-    pauer_lucky,
+    pauer_verdict,
     SIGMA_BAD,
 )
 
@@ -153,16 +153,17 @@ def _cmd_nf(spec, I, args):
 def _cmd_classify(spec, I, args):
     verdicts = [classify_prime(I, args.order, p) for p in _parse_primes(args.primes)]
     records, _ = _verdicts(verdicts, spec.names)
-    F = [prim(g, args.order) for g in I.gens]
-    counter = _Counter(args.budget)
+    if any(v.status != SIGMA_BAD for v in verdicts):
+        # the strong basis of the input does not depend on p: one for all primes
+        F = [prim(g, args.order) for g in I.gens]
+        B = strong_gb(F, args.order, _Counter(args.budget))
     lines = []
     for v, rec in zip(verdicts, records):
-        if v.status != SIGMA_BAD:
-            pl = pauer_lucky(F, args.order, v.prime, counter)
-            rec["pauer"] = pl.status
-            lines.append("%d: %s, %s" % (v.prime, v.status, pl.status))
-        else:
+        if v.status == SIGMA_BAD:
             lines.append("%d: %s" % (v.prime, v.status))
+        else:
+            rec["pauer"] = pauer_verdict(B, args.order, v.prime).status
+            lines.append("%d: %s, %s" % (v.prime, v.status, rec["pauer"]))
     return {"primes": records}, "\n".join(lines)
 
 

@@ -14,7 +14,6 @@ gb_field._convert (FGLM when I is zero-dimensional), once per edge.
 import math
 from collections import deque
 
-from .arith import lcm as int_lcm
 from .gb_field import BudgetExceeded, _Counter, _convert, buchberger_reduced, min_lt, normal_form
 from .orderings import _degrevlex_rows, _rank, degrevlex, matrix_order
 from .poly import GF, QQ, den_of_set
@@ -46,7 +45,7 @@ class Fan:
 
     def denominator(self):
         """lcm of den over all cones' bases."""
-        return int_lcm(*[den_of_set(c) for c in self.cones]) if self.cones else 1
+        return math.lcm(*map(den_of_set, self.cones))
 
     def __repr__(self):
         return "Fan(%d cones)" % len(self.cones)

@@ -223,7 +223,7 @@ def lcm_sigma(polys, sigma=None):
         raise ValueError("an ordering is required for a plain set of polynomials")
     if any(f.is_zero() for f in polys):
         raise ValueError("lcm_sigma needs nonzero polynomials")
-    return int_lcm(*[leading(f, sigma)[1] for f in polys]) if polys else 1
+    return int_lcm(*[leading(f, sigma)[1] for f in polys])
 
 
 def leading_monomial_set(B):

@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 from operator import add, le
 
-from .arith import lcm as int_lcm
 from .arith import is_prime
 
 
@@ -121,29 +120,33 @@ class PolyRing:
         self._zero_pp = (0,) * self.n
 
     def zero(self):
-        return Polynomial(self, {})
+        return self.from_terms(())
 
     def one(self):
-        return Polynomial(self, {self._zero_pp: self.domain.one})
+        return self.const(1)
 
     def const(self, c):
-        c = self.domain.coerce(c)
-        return Polynomial(self, {self._zero_pp: c} if c != self.domain.zero else {})
+        return self.from_terms([(self._zero_pp, c)])
 
     def var(self, i):
-        pp = tuple(1 if j == i else 0 for j in range(self.n))
-        return Polynomial(self, {pp: self.domain.one})
+        return self.from_terms([(tuple(1 if j == i else 0 for j in range(self.n)), 1)])
 
     def gens(self):
         return [self.var(i) for i in range(self.n)]
 
     def from_terms(self, terms):
-        """Build a polynomial from an iterable of (exponent tuple, coefficient)."""
+        """Build a polynomial from an iterable of (exponent tuple, coefficient).
+
+        This is the coefficient rule of the ring: equal exponents merge, each
+        coefficient is coerced into the domain (reduced mod p over F_p, where
+        a denominator divisible by p raises BadPrimeForInput) and zeros are
+        dropped.  Every polynomial outside the two engines is built here.
+        """
         d = {}
         zero, coerce = self.domain.zero, self.domain.coerce
         for pp, c in terms:
             pp = tuple(pp)
-            if len(pp) != self.n or any(e < 0 for e in pp):
+            if len(pp) != self.n or min(pp) < 0:
                 raise ValueError("bad exponent tuple %r" % (pp,))
             c = coerce(d[pp] + c) if pp in d else coerce(c)
             if c == zero:
@@ -216,66 +219,35 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
+    def _terms_of(self, other):
+        """The terms of other, an operand that must lie in the ring of self."""
+        if other.ring != self.ring:
+            raise ValueError("operands from different rings: %r and %r" % (self.ring, other.ring))
+        return other.terms.items()
+
     def __add__(self, other):
-        zero, p = self.ring.domain.zero, self.ring.domain.characteristic
-        d = dict(self.terms)
-        for pp, c in other.terms.items():
-            c2 = d.get(pp, zero) + c
-            if p:
-                c2 %= p
-            if c2 == zero:
-                d.pop(pp, None)
-            else:
-                d[pp] = c2
-        return Polynomial(self.ring, d)
+        return self.ring.from_terms([*self.terms.items(), *self._terms_of(other)])
 
     def __neg__(self):
-        p = self.ring.domain.characteristic
-        if p:
-            return Polynomial(self.ring, {pp: -c % p for pp, c in self.terms.items()})
-        return Polynomial(self.ring, {pp: -c for pp, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        zero, p = self.ring.domain.zero, self.ring.domain.characteristic
-        d = {}
-        for pp1, c1 in self.terms.items():
-            for pp2, c2 in other.terms.items():
-                pp = pp_mul(pp1, pp2)
-                c = d.get(pp, zero) + c1 * c2
-                if p:
-                    c %= p
-                if c == zero:
-                    d.pop(pp, None)
-                else:
-                    d[pp] = c
-        return Polynomial(self.ring, d)
+        terms = self._terms_of(other)
+        return self.ring.from_terms(
+            (pp_mul(s, t), a * b) for s, a in self.terms.items() for t, b in terms
+        )
 
     def scale(self, c):
         """Multiply by a scalar from the coefficient domain."""
-        c = self.ring.domain.coerce(c)
-        if c == self.ring.domain.zero:
-            return self.ring.zero()
-        if self.ring.domain.characteristic:
-            p = self.ring.domain.p
-            return Polynomial(self.ring, {pp: a * c % p for pp, a in self.terms.items()})
-        return Polynomial(self.ring, {pp: a * c for pp, a in self.terms.items()})
+        return self.mul_term(self.ring._zero_pp, c)
 
     def mul_term(self, pp, c):
         """Multiply by the monomial c * x^pp."""
         c = self.ring.domain.coerce(c)
-        if c == self.ring.domain.zero:
-            return self.ring.zero()
-        if self.ring.domain.characteristic:
-            p = self.ring.domain.p
-            return Polynomial(
-                self.ring, {pp_mul(t, pp): a * c % p for t, a in self.terms.items()}
-            )
-        return Polynomial(
-            self.ring, {pp_mul(t, pp): a * c for t, a in self.terms.items()}
-        )
+        return self.ring.from_terms((pp_mul(t, pp), a * c) for t, a in self.terms.items())
 
     def sorted_terms(self, sigma):
         return sorted(self.terms.items(), key=lambda kv: sigma.key(kv[0]), reverse=True)
@@ -304,25 +276,19 @@ def den(f):
     """Positive lcm of the coefficient denominators; den(0) = 1."""
     if f.ring.domain is not QQ:
         raise ValueError("den is defined for rational coefficients only")
-    d = 1
-    for c in f.terms.values():
-        d = d * c.denominator // math.gcd(d, c.denominator)
-    return d
+    return math.lcm(*(c.denominator for c in f.terms.values()))
 
 
 def den_of_set(polys):
     """den of a set of polynomials: lcm of the individual denominators."""
-    return int_lcm(*[den(f) for f in polys]) if polys else 1
+    return math.lcm(*map(den, polys))
 
 
 def content(f):
     """Positive integer content of a polynomial over ZZ."""
     if f.ring.domain is not ZZ:
         raise ValueError("content is defined over ZZ")
-    g = 0
-    for c in f.terms.values():
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*f.terms.values())
 
 
 def prim(f, sigma):
@@ -338,17 +304,13 @@ def prim(f, sigma):
         d = den(f)
         int_terms = {pp: c.numerator * (d // c.denominator) for pp, c in f.terms.items()}
     elif f.ring.domain is ZZ:
-        int_terms = dict(f.terms)
+        int_terms = f.terms
     else:
         raise ValueError("prim needs coefficients in QQ or ZZ")
-    g = 0
-    for c in int_terms.values():
-        g = math.gcd(g, c)
-    zring = PolyRing(ZZ, f.ring.names)
-    out = Polynomial(zring, {pp: c // g for pp, c in int_terms.items()})
-    if leading(out, sigma)[1] < 0:
-        out = -out
-    return out
+    g = math.gcd(*int_terms.values())
+    if leading(f, sigma)[1] < 0:
+        g = -g
+    return PolyRing(ZZ, f.ring.names).from_terms((pp, c // g) for pp, c in int_terms.items())
 
 
 def reduce_mod_p(f, p):

@@ -97,7 +97,12 @@ def pauer_lucky(F, sigma, p, counter=None):
     """Pauer-luckiness of p for a set of integer polynomials; counter budgets
     the strong basis (see strong_gb)."""
     _require_prime(p)
-    B = strong_gb(list(F), sigma, counter)
+    return pauer_verdict(strong_gb(list(F), sigma, counter), sigma, p)
+
+
+def pauer_verdict(B, sigma, p):
+    """Pauer-luckiness of p judged on B, a strong sigma-basis over ZZ: p is
+    lucky when it divides no leading coefficient of B."""
     for g in B:
         lc = leading(g, sigma)[1]
         if lc % p == 0:

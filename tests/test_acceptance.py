@@ -251,3 +251,12 @@ def test_criterion_9_parser_round_trip_and_fuzz():
             parse_input(text)
         except ParseError:
             pass
+
+
+def test_readme_library_quick_start_runs_verbatim(capsys):
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```\n", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "['y - 1/2*z', 'x - 1/4*z']\n"

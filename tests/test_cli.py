@@ -9,6 +9,7 @@ import pytest
 from conftest import timed
 from modgb import fan as fan_module
 from modgb.cli import main
+from modgb.gb_integer import strong_gb
 
 LINEAR = "ring QQ[x,y,z] degrevlex;\nideal(x + 2*z, x + 2*y);\n"
 DELTONE = "ring QQ[x,y,z] degrevlex;\nideal(x^2 - y, x*y + z + 1, z^2 + x);\n"
@@ -116,6 +117,26 @@ def test_classify(write, capsys):
     assert by_prime["2"]["status"] == "SIGMA_BAD"
     assert by_prime["5"]["status"] == "SIGMA_GOOD"
     assert by_prime["5"]["pauer"] == "PAUER_LUCKY"
+
+
+def test_classify_builds_one_strong_basis_for_all_primes(write, capsys, monkeypatch):
+    from modgb import cli, primes
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return strong_gb(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "strong_gb", counted)
+    monkeypatch.setattr(primes, "strong_gb", counted)
+    code, out, _ = run(capsys, "classify", "--primes", "3,5,7,11,13", write(DOUBLING))
+    assert (code, out) == (0, "".join("%d: SIGMA_GOOD, PAUER_LUCKY\n" % p for p in (3, 5, 7, 11, 13)))
+    assert len(calls) == 1
+    # no strong basis when every prime is sigma-bad
+    calls.clear()
+    code, out, _ = run(capsys, "classify", "--primes", "2", write(DOUBLING))
+    assert (code, out, calls) == (0, "2: SIGMA_BAD\n", [])
 
 
 def test_strong_gb(write, capsys):

@@ -82,6 +82,13 @@ def test_normal_form_rejects_a_basis_from_another_ring():
     assert normal_form(reduce_mod_p(x * x * x, 7), G7, s) == reduce_mod_p(x * y.scale(3), 7)
 
 
+def test_normal_form_against_no_basis_is_the_polynomial():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    f = x * y + y.scale(Fraction(1, 3))
+    assert normal_form(f, [], degrevlex(2)) is f
+
+
 def test_normal_form_properties():
     rng = random.Random(9)
     for _ in range(30):

@@ -210,3 +210,10 @@ def test_strong_gb_spends_its_budget():
         strong_gb(F, s, _Counter(spent - 1))
     with pytest.raises(BudgetExceeded):
         pauer_lucky(F, s, 5, _Counter(spent - 1))
+
+
+def test_strong_gb_of_no_generators_is_empty():
+    R = ring_zz("x", "y")
+    B = strong_gb([], lex(2))
+    assert list(B) == [] and lcm_sigma(B) == 1
+    assert list(strong_gb([R.zero()], lex(2))) == []

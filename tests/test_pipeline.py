@@ -258,6 +258,13 @@ def test_modular_gb_raises_when_primes_run_out(bits):
     assert time.monotonic() - start < 10.0
 
 
+def test_modular_gb_raises_after_max_primes_without_a_verified_basis():
+    # a candidate is lifted from three primes at the earliest
+    R, I = chained_doubling_ideal()
+    with pytest.raises(RuntimeError, match="no verified basis after 2 primes"):
+        modular_gb(I, lex(3), max_primes=2, rng=random.Random(0))
+
+
 def test_modular_gb_validates_its_budget():
     R, I = chained_doubling_ideal()
     with pytest.raises(ValueError):

@@ -125,6 +125,34 @@ def test_fp_arithmetic_is_canonical():
         assert all(1 <= c < 5 for c in h.terms.values())
 
 
+def test_arithmetic_rejects_operands_from_another_ring():
+    # a GF(7) and a QQ polynomial in x, y, and a QQ polynomial in u alone:
+    # no operator may mix their coefficients or their exponent tuples
+    x = ring_qq("x", "y").gens()[0]
+    a = PolyRing(GF(7), ("x", "y")).gens()[0]
+    u = ring_qq("u").gens()[0]
+    for f, g in ((a.scale(3), x.scale(Fraction(1, 2))), (x, a.scale(10)), (x, u)):
+        for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
+            for left, right in ((f, g), (g, f)):
+                with pytest.raises(ValueError, match="different rings"):
+                    op(left, right)
+
+
+def test_operators_normalize_through_the_ring():
+    R = PolyRing(GF(7), ("x", "y"))
+    x, y = R.gens()
+    assert x.scale(10).terms == {(1, 0): 3}
+    assert x.scale(Fraction(1, 2)).terms == {(1, 0): 4}
+    assert x.mul_term((0, 1), 14).is_zero() and x.scale(0).is_zero()
+    assert (x.scale(3) + x.scale(4)).is_zero()
+    assert (-y).terms == {(0, 1): 6}
+    assert R.const(-1) == R.one().scale(6) and R.const(7).is_zero()
+    with pytest.raises(BadPrimeForInput):
+        x.scale(Fraction(1, 7))
+    with pytest.raises(ValueError):
+        x.mul_term((1,), 1)
+
+
 def test_ideal_drops_zero_gens_and_caches():
     R = ring_qq("x", "y")
     x, y = R.gens()
