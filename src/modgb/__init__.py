@@ -14,6 +14,7 @@ from .gb_field import (
     BudgetExceeded,
     ReducedGB,
     buchberger_reduced,
+    budget,
     fglm,
     is_groebner,
     min_lt,

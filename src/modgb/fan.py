@@ -14,7 +14,7 @@ gb_field._convert (FGLM when I is zero-dimensional), once per edge.
 import math
 from collections import deque
 
-from .gb_field import BudgetExceeded, _Counter, _convert, buchberger_reduced, min_lt, normal_form
+from .gb_field import _ACTIVE, BudgetExceeded, _convert, budget, buchberger_reduced, min_lt, normal_form
 from .orderings import _degrevlex_rows, _rank, degrevlex, matrix_order
 from .poly import GF, QQ, den_of_set
 from .primes import _reduce_basis
@@ -132,14 +132,14 @@ def cone_vectors(G):
     return vs
 
 
-def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
-    """The reduced bases of all cones of I, by facet flips from degrevlex, one per edge."""
+def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES):
+    """The reduced bases of all cones of I, by facet flips from degrevlex, one per
+    edge.  It spends the active budget, or one of DEFAULT_BUDGET steps if none is."""
     if max_cones < 1:
         raise ValueError("max_cones must be at least 1, got %s" % max_cones)
     if not any(I.gens):
         raise ValueError("the zero ideal has no universal denominator")
     n = I.ring.n
-    counter = _Counter(budget)
     sigma0 = degrevlex(n)
     cones = []
     adjacency = {}
@@ -147,51 +147,50 @@ def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
     flipped = set()
 
     def partial(msg):
-        return FanBudgetExceeded(msg, Fan(cones, adjacency))
+        return FanBudgetExceeded("%s (%d cones found)" % (msg, len(cones)), Fan(cones, adjacency))
 
     try:
-        seed = buchberger_reduced(I.gens, sigma0, counter=counter)
-        cones.append(seed)
-        adjacency[0] = set()
-        index[min_lt(seed)] = 0
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            cone = cones[i]
-            for v, w in sorted(_facet_points(cone_vectors(cone), n).items()):
-                if (i, v) in flipped:
-                    continue
-                tau = _flip_ordering(w, v, n)
-                nb = _convert(cone, tau, counter)
-                nb_key = min_lt(nb)
-                k = index.get(nb_key)
-                if k is None:
-                    if len(cones) >= max_cones:
-                        raise partial("cone budget of %d exhausted" % max_cones)
-                    k = len(cones)
-                    cones.append(nb)
-                    adjacency[k] = set()
-                    index[nb_key] = k
-                    queue.append(k)
-                if k != i:
-                    adjacency[i].add(k)
-                    adjacency[k].add(i)
-                    flipped.add((k, tuple(-x for x in v)))
-    except BudgetExceeded:
-        raise partial("reduction budget of %d exhausted" % budget) from None
+        with _ACTIVE.get() or budget(DEFAULT_BUDGET):
+            seed = buchberger_reduced(I.gens, sigma0)
+            cones.append(seed)
+            adjacency[0] = set()
+            index[min_lt(seed)] = 0
+            queue = deque([0])
+            while queue:
+                i = queue.popleft()
+                cone = cones[i]
+                for v, w in sorted(_facet_points(cone_vectors(cone), n).items()):
+                    if (i, v) in flipped:
+                        continue
+                    tau = _flip_ordering(w, v, n)
+                    nb = _convert(cone, tau)
+                    nb_key = min_lt(nb)
+                    k = index.get(nb_key)
+                    if k is None:
+                        if len(cones) >= max_cones:
+                            raise partial("cone budget of %d exhausted" % max_cones)
+                        k = len(cones)
+                        cones.append(nb)
+                        adjacency[k] = set()
+                        index[nb_key] = k
+                        queue.append(k)
+                    if k != i:
+                        adjacency[i].add(k)
+                        adjacency[k].add(i)
+                        flipped.add((k, tuple(-x for x in v)))
+    except BudgetExceeded as e:
+        raise partial(str(e)) from None
     return Fan(cones, adjacency)
 
 
-def universal_denominator(I, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET):
+def universal_denominator(I, max_cones=DEFAULT_MAX_CONES):
     """Delta(I): the lcm of den over the reduced bases of all term orderings."""
     if I.ring.domain is not QQ:
         raise ValueError("the universal denominator needs rational coefficients")
-    return enumerate_fan(I, max_cones, budget).denominator()
+    return enumerate_fan(I, max_cones).denominator()
 
 
-def reduction_universal(
-    I, p, verify=False, max_cones=DEFAULT_MAX_CONES, budget=DEFAULT_BUDGET
-):
+def reduction_universal(I, p, verify=False, max_cones=DEFAULT_MAX_CONES):
     """The ordering-free reduction I_p, defined when p does not divide Delta(I).
 
     It is generated by the degrevlex cone's basis mod p, which it caches as
@@ -202,7 +201,7 @@ def reduction_universal(
     if I.ring.domain is not QQ:
         raise ValueError("the reduction mod p needs rational coefficients")
     field = GF(p)  # rejects a non-prime before the fan is enumerated
-    fan = enumerate_fan(I, max_cones, budget)
+    fan = enumerate_fan(I, max_cones)
     delta = fan.denominator()
     if delta % p == 0:
         raise ValueError("prime %d divides the universal denominator %d" % (p, delta))

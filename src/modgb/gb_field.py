@@ -16,6 +16,7 @@ has Fraction coefficients.  Every basis returned is monic.
 """
 
 import heapq
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd
 from operator import add, le, neg, sub
@@ -24,29 +25,22 @@ from .poly import QQ, Polynomial, den, leading, pp_div, pp_divides, pp_lcm, pp_m
 
 # scale growth, in bits, between two divisions by the content during a reduction
 _GROWTH = 256
+# the innermost active budget, or None
+_ACTIVE = ContextVar("modgb_budget", default=None)
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when a computation exceeds its reduction-step budget."""
 
 
-class ReducedGB:
-    """A reduced Groebner basis: monic elements sorted by increasing leading term.
+class _Basis:
+    """A basis sorted by increasing leading term under its ordering."""
 
-    It keeps the engine's reducer entries of its elements once built.
-    """
-
-    __slots__ = ("ordering", "elements", "entries")
+    __slots__ = ("ordering", "elements")
 
     def __init__(self, ordering, elements):
         self.ordering = ordering
         self.elements = list(elements)
-        self.entries = None
-
-    def leading_terms(self):
-        if self.entries is not None:
-            return [e[0] for e in sorted(self.entries, key=lambda e: e[3])]
-        return [leading(g, self.ordering)[0] for g in self.elements]
 
     def __iter__(self):
         return iter(self.elements)
@@ -57,6 +51,25 @@ class ReducedGB:
     def __getitem__(self, i):
         return self.elements[i]
 
+    def __repr__(self):
+        return "%s(%d elements)" % (type(self).__name__, len(self.elements))
+
+
+class ReducedGB(_Basis):
+    """A reduced Groebner basis of monic elements.  It keeps the engine's
+    reducer entries of its elements once built."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, ordering, elements):
+        super().__init__(ordering, elements)
+        self.entries = None
+
+    def leading_terms(self):
+        if self.entries is not None:
+            return [e[0] for e in sorted(self.entries, key=lambda e: e[3])]
+        return [leading(g, self.ordering)[0] for g in self.elements]
+
     def __eq__(self, other):
         return (
             isinstance(other, ReducedGB)
@@ -64,20 +77,27 @@ class ReducedGB:
             and self.elements == other.elements
         )
 
-    def __repr__(self):
-        return "ReducedGB(%d elements)" % len(self.elements)
 
+class budget:
+    """Context manager: each reduction step inside it spends one of its steps,
+    and BudgetExceeded is raised when none is left.  With none active, reduction
+    is unbounded; with several, only the innermost is spent."""
 
-class _Counter:
-    __slots__ = ("left",)
+    def __init__(self, steps):
+        self.steps = self.left = steps
+        self._tokens = []
 
-    def __init__(self, budget):
-        self.left = budget
+    def __enter__(self):
+        self._tokens.append(_ACTIVE.set(self))
+        return self
+
+    def __exit__(self, *exc):
+        _ACTIVE.reset(self._tokens.pop())
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceeded("reduction budget exhausted")
+            raise BudgetExceeded("reduction budget of %d exhausted" % self.steps)
 
 
 class _Work:
@@ -182,7 +202,7 @@ def _divide_content(work, *parts):
                 d[t] //= g
 
 
-def _reduce(work, reducers, counter=None, full=True, on_step=None):
+def _reduce(work, reducers, full=True, on_step=None):
     """Reduce a _Work in place, each step by the first applicable reducer.
 
     With full=False reduction stops at the first irreducible head and the
@@ -203,6 +223,7 @@ def _reduce(work, reducers, counter=None, full=True, on_step=None):
     # pp_divides, pp_div and pp_mul are inlined in this loop and in
     # _Work.sub: the calls cost about a sixth of the F_p kernel's time
     terms, heap, p = work.terms, work.heap, work.p
+    steps = _ACTIVE.get()
     out = {}
     limit = work.scale.bit_length() + _GROWTH
     while heap:
@@ -219,8 +240,8 @@ def _reduce(work, reducers, counter=None, full=True, on_step=None):
             out[t] = terms.pop(t)
             continue
         del terms[t]
-        if counter is not None:
-            counter.spend()
+        if steps is not None:
+            steps.spend()
         shift = tuple(map(sub, t, lt))
         if on_step is not None:
             on_step(pos, shift, c, work.scale)
@@ -262,7 +283,7 @@ def normal_form(f, G, sigma):
     return _polynomial(f.ring, r, work.scale)
 
 
-def _divide(work, reducers, row, reps, counter=None, full=True):
+def _divide(work, reducers, row, reps, full=True):
     """_reduce that also tracks coefficients: returns the remainder and
     row - sum_k q_k * reps[k], q_k the quotient by the monic polynomial of
     the reducer at position k.
@@ -277,7 +298,7 @@ def _divide(work, reducers, row, reps, counter=None, full=True):
             (shift, factor if scale == 1 else Fraction(factor, scale))
         )
 
-    r = _reduce(work, reducers, counter, full, record)
+    r = _reduce(work, reducers, full, record)
     for pos, terms in quotients.items():
         q = row[0].ring.from_terms(terms)
         row = [x - q * y for x, y in zip(row, reps[pos])]
@@ -327,7 +348,7 @@ def _gm_update(lts, pairs, j, sigma):
     ]
 
 
-def buchberger(gens, sigma, counter=None, reps=None):
+def buchberger(gens, sigma, reps=None):
     """The reducer entries, in insertion order, of a (not reduced) Groebner
     basis of the ideal generated by gens.
 
@@ -385,26 +406,24 @@ def buchberger(gens, sigma, counter=None, reps=None):
         work = _s_work(entries[a], entries[b], key, p)
         rep = None
         if reps is None:
-            s = _reduce(work, entries, counter, full=False)
+            s = _reduce(work, entries, full=False)
         else:
             l = pp_lcm(lts[a], lts[b])
             sa, sb = pp_div(l, lts[a]), pp_div(l, lts[b])
             rep = [x.mul_term(sa, one) - y.mul_term(sb, one) for x, y in zip(reps[a], reps[b])]
-            s, rep = _divide(work, entries, rep, reps, counter, full=False)
+            s, rep = _divide(work, entries, rep, reps, full=False)
         if s:
             append(s, max(s, key=key), work.scale, pair_sugar, rep)
     return entries
 
 
-def buchberger_reduced(gens, sigma, counter=None):
+def buchberger_reduced(gens, sigma):
     """The unique reduced sigma-Groebner basis of the ideal generated by gens.
 
     Returns the empty basis for the zero ideal and [1] for the unit ideal.
-    A counter budgets the reduction steps, shared when several computations
-    are budgeted jointly.
     """
     gens = list(gens)
-    entries = buchberger(gens, sigma, counter)
+    entries = buchberger(gens, sigma)
     if not entries:
         return ReducedGB(sigma, [])
     # the minimal basis, as reducers in increasing leading-term order
@@ -420,7 +439,7 @@ def buchberger_reduced(gens, sigma, counter=None):
     reduced = []
     for lt, lc, tail, _ in minimal:
         work = _Work(dict(tail), sigma.key, p, lc)
-        r = _reduce(work, minimal, counter)
+        r = _reduce(work, minimal)
         # r and its scale have no common factor, so this entry is primitive
         reduced.append((lt, work.scale, list(r.items()), len(reduced)))
     return _basis(ring, sigma, reduced)
@@ -432,9 +451,9 @@ def is_zero_dimensional(G):
     return bool(G.elements) and len(pure) == G[0].ring.n
 
 
-def fglm(G, tau, counter=None):
+def fglm(G, tau):
     """The reduced tau-basis of a zero-dimensional ideal from its reduced
-    basis G (Faugere-Gianni-Lazard-Mora change of ordering), budgeted by counter.
+    basis G (Faugere-Gianni-Lazard-Mora change of ordering).
 
     Monomials are visited in increasing tau order, skipping multiples of the
     tau-leading terms found so far.  The G-normal form of x_i * m is that of
@@ -485,7 +504,7 @@ def fglm(G, tau, counter=None):
             nf = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in nf.items()}
         if any(all(map(le, lt, t)) for t in nf for lt in heads):
             work = _Work(nf, sigma.key, p, s)
-            nf, s = _reduce(work, reducers, counter), work.scale
+            nf, s = _reduce(work, reducers), work.scale
         # v = sum comb[m_j] * NF(m_j): v is the normal form times its scale
         v, comb = dict(nf), {m: s}
         for pivot, a, w, wc, _, _ in rows:
@@ -517,7 +536,7 @@ def fglm(G, tau, counter=None):
     return _basis(ring, tau, entries)
 
 
-def _convert(G, tau, counter=None):
+def _convert(G, tau):
     """The reduced tau-basis of G's ideal: G relabelled if each element keeps its
     leading term under tau (<lt_tau G> = in(I) lies in in_tau(I), and both
     standard-monomial sets are bases of R/I, so they agree), else by FGLM if
@@ -525,8 +544,8 @@ def _convert(G, tau, counter=None):
     if all(leading(g, tau)[0] == lt for g, lt in zip(G, G.leading_terms())):
         return ReducedGB(tau, sorted(G, key=lambda g: tau.key(leading(g, tau)[0])))
     if is_zero_dimensional(G):
-        return fglm(G, tau, counter)
-    return buchberger_reduced(G.elements, tau, counter=counter)
+        return fglm(G, tau)
+    return buchberger_reduced(G.elements, tau)
 
 
 def min_lt(G):

@@ -30,33 +30,17 @@ from operator import le, sub
 
 from .arith import _ext_gcd
 from .arith import lcm as int_lcm
-from .gb_field import _Work
+from .gb_field import _ACTIVE, _Basis, _Work
 from .poly import Polynomial, ZZ, leading, pp_div, pp_divides, pp_lcm, pp_mul
 
 
-class StrongGB:
+class StrongGB(_Basis):
     """A minimal strong Groebner basis over ZZ, sorted by increasing leading term."""
 
-    __slots__ = ("ordering", "elements")
-
-    def __init__(self, ordering, elements):
-        self.ordering = ordering
-        self.elements = list(elements)
+    __slots__ = ()
 
     def leading_monomials(self):
         return [leading(g, self.ordering) for g in self.elements]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def __repr__(self):
-        return "StrongGB(%d elements)" % len(self.elements)
 
 
 def _lm_divides(lt1, lc1, lt2, lc2):
@@ -64,15 +48,16 @@ def _lm_divides(lt1, lc1, lt2, lc2):
     return pp_divides(lt1, lt2) and lc2 % lc1 == 0
 
 
-def _strong_head_reduce(work, basis, counter=None):
+def _strong_head_reduce(work, basis):
     """Reduce the head of a _Work in place while some basis entry (g, lt, lc)
     has lt | t and lc | c, taking the first such entry; each step is spent
-    from counter.
+    from the active budget.
 
     Returns the irreducible head term, left in work.terms but off the heap,
     or None when the work reduced to zero.
     """
     terms, heap = work.terms, work.heap
+    steps = _ACTIVE.get()
     while heap:
         t = heapq.heappop(heap)[1]
         c = terms.get(t)
@@ -85,22 +70,23 @@ def _strong_head_reduce(work, basis, counter=None):
             while heap and heap[0][1] == t:  # duplicates of the head
                 heapq.heappop(heap)
             return t
-        if counter is not None:
-            counter.spend()
+        if steps is not None:
+            steps.spend()
         # subtracting the whole of g, leading term included, cancels t
         work.sub(c // lc, tuple(map(sub, t, lt)), g.terms.items())
     return None
 
 
-def _tail_reduce(work, basis, counter=None):
+def _tail_reduce(work, basis):
     """Reduce every term left on a _Work's heap by one Euclidean step, in place.
 
     The coefficient c of a term t becomes its symmetric remainder modulo lc,
     for the basis entry (g, lt, lc) with lt | t and the smallest lc, ties
-    broken by position.  Each step that changes c is spent from counter.
+    broken by position.  Each step that changes c spends the active budget.
     Returns the term dict.
     """
     terms, heap = work.terms, work.heap
+    steps = _ACTIVE.get()
     while heap:
         t = heapq.heappop(heap)[1]
         c = terms.get(t)
@@ -117,17 +103,16 @@ def _tail_reduce(work, basis, counter=None):
         if 2 * r > lc:
             r -= lc
         if r != c:
-            if counter is not None:
-                counter.spend()
+            if steps is not None:
+                steps.spend()
             work.sub((c - r) // lc, tuple(map(sub, t, lt)), g.terms.items())
     return terms
 
 
-def strong_gb(gens, sigma, counter=None):
+def strong_gb(gens, sigma):
     """A minimal strong sigma-Groebner basis of the ideal generated in ZZ[x].
 
-    A counter (gb_field._Counter) budgets the head and tail reduction steps;
-    BudgetExceeded is raised when it runs out.
+    Each head and tail reduction step spends the active budget (gb_field.budget).
     """
     if any(g.ring.domain is not ZZ for g in gens):
         raise ValueError("strong_gb needs integer coefficients")
@@ -141,7 +126,7 @@ def strong_gb(gens, sigma, counter=None):
     queued = set()  # the S-pairs still on the heap
 
     def append(work, lt):
-        terms = _tail_reduce(work, basis, counter)
+        terms = _tail_reduce(work, basis)
         if terms[lt] < 0:
             terms = {t: -c for t, c in terms.items()}
         lc = terms[lt]
@@ -191,13 +176,13 @@ def strong_gb(gens, sigma, counter=None):
         sh = pp_div(l, lti)
         work = _Work({pp_mul(t, sh): a * v for t, v in f.terms.items()}, key, 0)
         work.sub(b, pp_div(l, ltj), g.terms.items())
-        head = _strong_head_reduce(work, basis, counter)
+        head = _strong_head_reduce(work, basis)
         if head is not None:
             append(work, head)
-    return StrongGB(sigma, _normalize_output(basis, sigma, counter))
+    return StrongGB(sigma, _normalize_output(basis, sigma))
 
 
-def _normalize_output(basis, sigma, counter):
+def _normalize_output(basis, sigma):
     """Minimalize by leading-monomial divisibility, then tail-reduce."""
     key = sigma.key
     minimal = []
@@ -210,7 +195,7 @@ def _normalize_output(basis, sigma, counter):
     for g, _, _ in minimal:
         work = _Work(dict(g.terms), key, 0)
         heapq.heappop(work.heap)
-        out.append(Polynomial(g.ring, _tail_reduce(work, minimal, counter)))
+        out.append(Polynomial(g.ring, _tail_reduce(work, minimal)))
     return out
 
 

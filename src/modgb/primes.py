@@ -93,11 +93,10 @@ def reduction(I, sigma, p):
     return _reduce_basis(I, I.reduced_gb(sigma), field)
 
 
-def pauer_lucky(F, sigma, p, counter=None):
-    """Pauer-luckiness of p for a set of integer polynomials; counter budgets
-    the strong basis (see strong_gb)."""
+def pauer_lucky(F, sigma, p):
+    """Pauer-luckiness of p for a set of integer polynomials."""
     _require_prime(p)
-    return pauer_verdict(strong_gb(list(F), sigma, counter), sigma, p)
+    return pauer_verdict(strong_gb(list(F), sigma), sigma, p)
 
 
 def pauer_verdict(B, sigma, p):

@@ -136,9 +136,9 @@ def engine_calls(monkeypatch):
         calls.append(("bb", sigma))
         return bb(gens, sigma, *args, **kwargs)
 
-    def traced_fglm(G, tau, counter=None):
+    def traced_fglm(G, tau):
         calls.append(("fglm", G.ordering, tau))
-        return fglm(G, tau, counter)
+        return fglm(G, tau)
 
     monkeypatch.setattr(gb_field, "buchberger_reduced", traced_bb)
     monkeypatch.setattr(gb_field, "fglm", traced_fglm)

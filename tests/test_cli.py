@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import modgb
 from conftest import timed
 from modgb import fan as fan_module
-from modgb.cli import main
+from modgb.cli import COMMANDS, main
+from test_pipeline import KATSURA5
 from modgb.gb_integer import strong_gb
 
 LINEAR = "ring QQ[x,y,z] degrevlex;\nideal(x + 2*z, x + 2*y);\n"
@@ -466,3 +471,30 @@ def test_reduction_budget_bounds_the_strong_basis(write, capsys, monkeypatch, ar
         code, out, err = run(capsys, *argv, path)
     assert code == 1 and out == ""
     assert "reduction budget" in err and "Traceback" not in err
+
+
+# The flags each subcommand needs on katsura-5; the others need none.
+KATSURA5_FLAGS = {
+    "nf": ["--poly", "u0"],
+    "classify": ["--primes", "101"],
+    "detect-bad": ["--tau", "lex", "--primes", "101,103"],
+    "modular-gb": ["--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", [entry[0] for entry in COMMANDS])
+def test_reduction_budget_bounds_every_subcommand(write, command):
+    # every subcommand needs more than 1,000 reduction steps on katsura-5;
+    # each runs in a child process, so one that ignores MGB_BUDGET cannot
+    # hang the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modgb.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, MGB_BUDGET="1000")
+    argv = [sys.executable, "-m", "modgb.cli", command, *KATSURA5_FLAGS.get(command, [])]
+    with timed(5.0):
+        proc = subprocess.run(
+            argv + [write(KATSURA5)], capture_output=True, text=True, timeout=20, env=env
+        )
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr[-2000:]
+    assert "reduction budget of 1000 exhausted" in proc.stderr
+    assert "Traceback" not in proc.stderr

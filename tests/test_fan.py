@@ -16,6 +16,7 @@ from modgb import (
     Ideal,
     PolyRing,
     buchberger_reduced,
+    budget,
     enumerate_fan,
     min_lt,
     normal_form,
@@ -171,8 +172,18 @@ def test_reduction_budget_bounds_the_fglm_traversal():
     # by FGLM, spend the rest of the budget
     R, I = twelve_cone_ideal()
     with pytest.raises(FanBudgetExceeded, match="reduction budget") as exc:
-        enumerate_fan(I, budget=30)
+        with budget(30):
+            enumerate_fan(I)
     assert 1 <= len(exc.value.fan) <= 11
+
+
+def test_fan_spends_an_active_budget_and_leaves_it_active():
+    # the traversal opens no budget of its own inside an active one
+    R, I = twelve_cone_ideal()
+    with modgb.budget(10**6) as b:
+        assert len(enumerate_fan(I)) == 12
+        assert b.left == 10**6 - 96
+        assert modgb.gb_field._ACTIVE.get() is b
 
 
 # Run in a child process under a 1 GB address-space limit: a facet search
@@ -181,13 +192,14 @@ def test_reduction_budget_bounds_the_fglm_traversal():
 GRAPH_FAN_UNDER_1GB = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
-from modgb import FanBudgetExceeded, enumerate_fan, parse_input
+from modgb import FanBudgetExceeded, budget, enumerate_fan, parse_input
 _, ideals, _ = parse_input(
     "ring QQ[x,y,z,w,s,t] elim(x,y,z,w);"
     "ideal(x - t^3, y - s*t^2 + 2*s^2, z - s^2*t + 5, w - s^3 + 7*t);"
 )
 try:
-    enumerate_fan(ideals[0], budget=100000)
+    with budget(100000):
+        enumerate_fan(ideals[0])
 except FanBudgetExceeded as e:
     print(e)
 """
@@ -213,9 +225,9 @@ def test_each_edge_is_flipped_once(monkeypatch):
     flips = []
     convert = fan_module._convert
 
-    def counted(G, tau, counter=None):
+    def counted(G, tau):
         flips.append(tau)
-        return convert(G, tau, counter)
+        return convert(G, tau)
 
     monkeypatch.setattr(fan_module, "_convert", counted)
     R, I = twelve_cone_ideal()

@@ -23,10 +23,13 @@ from modgb import (
     ReducedGB,
     ZZ,
     buchberger_reduced,
+    check_rad_identity,
+    detect_tau_bad,
     fglm,
     is_groebner,
     leading,
     min_lt,
+    modular_gb,
     monic,
     normal_form,
     parse_input,
@@ -37,7 +40,7 @@ from modgb import (
 )
 from modgb import fan
 from modgb import gb_field
-from modgb.gb_field import _Counter, is_zero_dimensional
+from modgb.gb_field import budget, is_zero_dimensional
 from modgb.orderings import deglex, degrevlex, elim, lex, matrix_order
 from modgb.primes import reduction
 
@@ -207,8 +210,60 @@ def test_budget_exceeded():
     R = ring_qq("x", "y", "z")
     x, y, z = R.gens()
     gens = [x * x - y, x * y + z + R.one(), z * z + x]
-    with pytest.raises(BudgetExceeded):
-        buchberger_reduced(gens, lex(3), counter=_Counter(0))
+    with pytest.raises(BudgetExceeded), budget(0):
+        buchberger_reduced(gens, lex(3))
+
+
+def _normal_form_of_a_product(I, s):
+    f, g, h = I.gens
+    return normal_form(f * g * h, [f, g, h], s)
+
+
+# Each entry point on a fresh twelve-cone ideal, whose reduced bases are not
+# yet cached: a budget reaches every reduction step under it.
+_ENTRY_POINTS = {
+    "reduced_gb": lambda I, s: list(I.reduced_gb(s)),
+    "modular_gb": lambda I, s: list(modular_gb(I, s, rng=random.Random(1)).basis),
+    "detect_tau_bad": lambda I, s: [
+        v.to_dict() for v in detect_tau_bad(I, s, lex(3), [101, 103])
+    ],
+    "check_rad_identity": check_rad_identity,
+    "normal_form": _normal_form_of_a_product,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_budget_bounds_every_entry_point(name):
+    run, s = _ENTRY_POINTS[name], degrevlex(3)
+    unbounded = run(twelve_cone_ideal()[1], s)
+    with pytest.raises(BudgetExceeded, match="^reduction budget of 1 exhausted$"):
+        with budget(1):
+            run(twelve_cone_ideal()[1], s)
+    with budget(10**6) as b:
+        assert run(twelve_cone_ideal()[1], s) == unbounded
+    assert b.left < 10**6
+
+
+def test_no_budget_is_active_after_a_block():
+    R, I = twelve_cone_ideal()
+    with budget(10**6):
+        buchberger_reduced(I.gens, lex(3))
+    assert gb_field._ACTIVE.get() is None
+    with pytest.raises(BudgetExceeded), budget(0):
+        buchberger_reduced(I.gens, lex(3))
+    assert gb_field._ACTIVE.get() is None
+
+
+def test_nested_budgets_spend_only_the_inner_one():
+    R, I = twelve_cone_ideal()
+    with budget(10**6) as outer:
+        with budget(10**6) as inner:
+            buchberger_reduced(I.gens, lex(3))
+        spent = 10**6 - inner.left
+        assert spent > 0 and outer.left == 10**6
+        assert gb_field._ACTIVE.get() is outer
+        buchberger_reduced(I.gens, lex(3))
+        assert 10**6 - outer.left == spent
 
 
 def test_represent_golden_columns():
@@ -263,8 +318,8 @@ _UNSPENT = 10**9
 
 
 def _steps(gens, sigma):
-    counter = _Counter(_UNSPENT)
-    buchberger_reduced(gens, sigma, counter=counter)
+    with budget(_UNSPENT) as counter:
+        buchberger_reduced(gens, sigma)
     return _UNSPENT - counter.left
 
 
@@ -289,12 +344,12 @@ def test_reduction_steps_many_bad_primes_lex():
 def test_reduction_steps_fan(monkeypatch):
     made = []
 
-    class Recording(_Counter):
-        def __init__(self, budget):
-            super().__init__(budget)
+    class Recording(budget):
+        def __init__(self, steps):
+            super().__init__(steps)
             made.append(self)
 
-    monkeypatch.setattr(fan, "_Counter", Recording)
+    monkeypatch.setattr(fan, "budget", Recording)
     R, I = twelve_cone_ideal()
     assert len(fan.enumerate_fan(I)) == 12
     assert [fan.DEFAULT_BUDGET - c.left for c in made] == [96]
@@ -342,7 +397,7 @@ def test_reduced_gb_converts_a_cached_zero_dimensional_basis(monkeypatch):
 
     monkeypatch.setattr(gb_field, "buchberger_reduced", no_buchberger)
     monkeypatch.setattr(
-        gb_field, "fglm", lambda G, t, counter=None: converted.append(t) or fglm(G, t, counter)
+        gb_field, "fglm", lambda G, t: converted.append(t) or fglm(G, t)
     )
     assert red.reduced_gb(lex(3)).leading_terms()[0] == (0, 0, 25)
     assert converted == [lex(3)]

@@ -16,7 +16,7 @@ from modgb import (
     prim,
     strong_gb,
 )
-from modgb.gb_field import BudgetExceeded, _Counter, _Work
+from modgb.gb_field import BudgetExceeded, _Work, budget
 from modgb.gb_integer import _lm_divides, _strong_head_reduce
 from modgb.orderings import degrevlex, lex
 from modgb.poly import leading as lead
@@ -202,14 +202,15 @@ def test_strong_gb_spends_its_budget():
     x, y = Z.gens()
     F = [x.scale(2) - y, y * y.scale(3) + x]
     s = degrevlex(2)
-    counter = _Counter(10**6)
-    assert leading_monomial_set(strong_gb(F, s, counter)) == leading_monomial_set(strong_gb(F, s))
+    with budget(10**6) as counter:
+        B = strong_gb(F, s)
+    assert leading_monomial_set(B) == leading_monomial_set(strong_gb(F, s))
     spent = 10**6 - counter.left
     assert spent > 0
-    with pytest.raises(BudgetExceeded):
-        strong_gb(F, s, _Counter(spent - 1))
-    with pytest.raises(BudgetExceeded):
-        pauer_lucky(F, s, 5, _Counter(spent - 1))
+    with pytest.raises(BudgetExceeded), budget(spent - 1):
+        strong_gb(F, s)
+    with pytest.raises(BudgetExceeded), budget(spent - 1):
+        pauer_lucky(F, s, 5)
 
 
 def test_strong_gb_of_no_generators_is_empty():
