@@ -18,7 +18,7 @@ has Fraction coefficients.  Every basis returned is monic.
 import heapq
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import add, le, neg, sub
 
 from .poly import QQ, Polynomial, den, leading, pp_div, pp_divides, pp_lcm, pp_mul
@@ -148,8 +148,8 @@ def _integral(f):
 def _polynomial(ring, terms, scale=1):
     """The polynomial terms / scale: residues as they are, Fractions over QQ."""
     if ring.domain.characteristic:
-        return Polynomial(ring, terms)
-    return Polynomial(ring, {t: Fraction(c, scale) for t, c in terms.items()})
+        return Polynomial._raw(ring, terms)
+    return Polynomial._raw(ring, {t: Fraction(c, scale) for t, c in terms.items()})
 
 
 def _entry(terms, lt, pos, p):
@@ -456,28 +456,61 @@ def fglm(G, tau):
     basis G (Faugere-Gianni-Lazard-Mora change of ordering).
 
     Monomials are visited in increasing tau order, skipping multiples of the
-    tau-leading terms found so far.  The G-normal form of x_i * m is that of
-    m, shifted by x_i and reduced again; it is kept as the engine holds it,
-    terms with one scale.  Each echelon row carries its combination of those
-    normal forms; when a normal form eliminates to zero, its combination
-    gives the element m - sum c_j m_j.
+    tau-leading terms found so far; each visited m other than 1 is x_i times
+    an earlier one, its parent.  The G-normal form of m is eliminated
+    against the echelon rows of those visited before it.  Each row carries
+    its combination of their monomials, so when a normal form eliminates to
+    zero, its combination gives the element m - sum c_j m_j.  Only the normal
+    forms spend budget steps, the elimination none.
 
-    Over F_p the rows are monic.  Over QQ the elimination is fraction-free:
-    a row with pivot coefficient a eliminates the entry f of a vector by
-    multiplying the vector and its combination by a / gcd(a, f) and
-    subtracting f / gcd(a, f) times the row; a new row is made primitive.
+    There are two bodies of the step, chosen by the characteristic:
+    _fraction_free_rows over QQ, and _packed_rows over F_p, whose vectors
+    are ints with slots wide enough that none carries before its reduction
+    mod p.
     """
-    sigma, ring = G.ordering, G[0].ring
-    n, p = ring.n, ring.domain.characteristic
+    ring = G[0].ring
+    p = ring.domain.characteristic
+    visit = (_packed_rows if p else _fraction_free_rows)(G)
+    one = (0,) * ring.n
+    entries, lts, rows = [], [], 0
+    heap, seen = [(tau.key(one), one, None, 0)], {one}
+    while heap:
+        _, m, parent, i = heapq.heappop(heap)
+        if any(all(map(le, lt, m)) for lt in lts):
+            continue
+        comb = visit(m, parent, i)
+        if comb is not None:
+            lts.append(m)
+            entries.append(_entry(comb, m, len(entries), p))
+            continue
+        for j in range(ring.n):
+            u = m[:j] + (m[j] + 1,) + m[j + 1 :]
+            if u not in seen:
+                seen.add(u)
+                heapq.heappush(heap, (tau.key(u), u, rows, j))
+        rows += 1
+    return _basis(ring, tau, entries)
+
+
+def _fraction_free_rows(G):
+    """fglm's step over QQ: visit(m, parent, i) returns m's combination when
+    its normal form eliminates to zero, else keeps it as a new row.
+
+    A normal form is kept as the engine holds it, terms with one scale, and
+    NF(x_i * m) is that of m, shifted by x_i and reduced again.  A row with
+    pivot coefficient a eliminates the entry f of a vector by multiplying the
+    vector and its combination by a / gcd(a, f) and subtracting
+    f / gcd(a, f) times the row; a new row is made primitive.
+    """
+    sigma = G.ordering
     reducers = _reducers(G, sigma)
     heads = [e[0] for e in reducers]
+    rows = []  # (pivot, pivot coefficient, echelon row, combination, normal form, its scale)
 
     def subtract(v, f, w):
         """v -= f * w, in place."""
         for t, a in w.items():
             c = v.get(t, 0) - f * a
-            if p:
-                c %= p
             if c:
                 v[t] = c
             else:
@@ -487,53 +520,108 @@ def fglm(G, tau):
         """v = v * f / d, in place, for each v in vs."""
         for v in vs:
             for t in v:
-                v[t] = v[t] * f // d % p if p else v[t] * f // d
+                v[t] = v[t] * f // d
 
-    one = (0,) * n
-    rows = []  # (pivot, pivot coefficient, echelon row, combination, normal form, its scale)
-    lts, entries = [], []
-    heap, seen = [(tau.key(one), one, None, 0)], {one}
-    while heap:
-        _, m, parent, i = heapq.heappop(heap)
-        if any(all(map(le, lt, m)) for lt in lts):
-            continue
+    def visit(m, parent, i):
         if parent is None:
-            nf, s = {one: 1}, 1
+            nf, s = {m: 1}, 1
         else:
             nf, s = rows[parent][4:]
             nf = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in nf.items()}
         if any(all(map(le, lt, t)) for t in nf for lt in heads):
-            work = _Work(nf, sigma.key, p, s)
+            work = _Work(nf, sigma.key, 0, s)
             nf, s = _reduce(work, reducers), work.scale
         # v = sum comb[m_j] * NF(m_j): v is the normal form times its scale
         v, comb = dict(nf), {m: s}
         for pivot, a, w, wc, _, _ in rows:
             f = v.get(pivot)
             if f:
-                if a != 1:
-                    g = gcd(a, f)
-                    if g != a:
-                        multiply(a // g, 1, v, comb)
-                    f //= g
-                subtract(v, f, w)
-                subtract(comb, f, wc)
+                g = gcd(a, f)
+                if g != a:
+                    multiply(a // g, 1, v, comb)
+                subtract(v, f // g, w)
+                subtract(comb, f // g, wc)
         if not v:
-            lts.append(m)
-            entries.append(_entry(comb, m, len(entries), p))
-            continue
-        # the new row is made monic over F_p, primitive over QQ
+            return comb
         pivot = next(iter(v))
-        if p:
-            multiply(pow(v[pivot], -1, p), 1, v, comb)
-        else:
-            multiply(1 if v[pivot] > 0 else -1, gcd(*v.values(), *comb.values()), v, comb)
+        multiply(1 if v[pivot] > 0 else -1, gcd(*v.values(), *comb.values()), v, comb)
         rows.append((pivot, v[pivot], v, comb, nf, s))
-        for j in range(n):
-            u = m[:j] + (m[j] + 1,) + m[j + 1 :]
-            if u not in seen:
-                seen.add(u)
-                heapq.heappush(heap, (tau.key(u), u, len(rows) - 1, j))
-    return _basis(ring, tau, entries)
+
+    return visit
+
+
+def _packed_rows(G):
+    """fglm's step over F_p, on vectors packed into ints: visit(m, parent, i)
+    returns m's combination when its normal form eliminates to zero, else
+    keeps it as a new row.
+
+    A vector over the D standard monomials of G is one int, slot k at bits
+    [kW, (k+1)W).  Entries stay non-negative (v - f*w is added as
+    v + (p - f)*w) and W >= 2 bitlen(p) + bitlen(2D + 2), so no slot carries
+    before it is reduced mod p: a normal form adds up at most D products of
+    residues, and the elimination at most D more.  (W is computed with the
+    bound box >= D, the product of the exponents of G's pure powers.)
+    NF(x_i * m) is sum c_k NF(x_i * b_k) over the residues c_k of NF(m);
+    each column NF(x_i * b_k) is built once, on first use: a unit vector
+    when x_i * b_k is standard, minus the tail when it is a leading term of
+    G, else reduced (spending budget steps).  A row keeps the inverse of its
+    pivot entry, and eliminating an entry costs one multiply-add on the
+    vector and one on its combination.
+    """
+    sigma, ring = G.ordering, G[0].ring
+    p = ring.domain.characteristic
+    reducers = _reducers(G, sigma)
+    tails = {e[0]: e[2] for e in reducers}
+    box = prod(max(t) for t in tails if max(t) == sum(t))
+    B = (2 * p.bit_length() + (2 * box + 2).bit_length() + 7) // 8  # bytes per slot
+    W, mask = 8 * B, (1 << 8 * B) - 1
+    slot, cols = {}, [{} for _ in range(ring.n)]  # standard monomial -> its slot
+    rows, ms = [], []  # (NF terms, pivot offset, its inverse, row, combination); monomials
+
+    def pack(terms):
+        """The vector of (standard monomial, residue) pairs; new monomials get the next slots."""
+        return sum(c << slot.setdefault(t, len(slot)) * W for t, c in terms)
+
+    def join(residues):
+        return int.from_bytes(b"".join([c.to_bytes(B, "little") for c in residues]), "little")
+
+    def split(v, size):
+        """The first size slots of v, mod p."""
+        return [(v >> k & mask) % p for k in range(0, size * W, W)]
+
+    def column(i, t):
+        u = t[:i] + (t[i] + 1,) + t[i + 1 :]
+        if u in tails:
+            x = pack((s, p - a) for s, a in tails[u])
+        else:  # a standard u is its own normal form, with no step spent
+            x = pack(_reduce(_Work({u: 1}, sigma.key, p), reducers).items())
+        cols[i][t] = x
+        return x
+
+    def visit(m, parent, i):
+        if parent is None:
+            v = pack([(m, 1)])
+        else:
+            v, col = 0, cols[i]
+            for t, c in rows[parent][0]:
+                x = col.get(t)
+                v += c * (column(i, t) if x is None else x)
+        nf, r = v, len(rows)
+        comb = 1 << r * W
+        for _, at, inv, w, wc in rows:
+            f = (v >> at & mask) * inv % p
+            if f:
+                v += (p - f) * w
+                comb += (p - f) * wc
+        cs, vs = split(comb, r + 1), split(v, len(slot))
+        if not any(vs):
+            return {t: c for t, c in zip(ms + [m], cs) if c}
+        k = next(k for k, c in enumerate(vs) if c)
+        nf = [(t, c) for t, c in zip(slot, split(nf, len(slot))) if c]
+        rows.append((nf, k * W, pow(vs[k], -1, p), join(vs), join(cs)))
+        ms.append(m)
+
+    return visit
 
 
 def _convert(G, tau):

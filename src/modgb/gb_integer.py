@@ -139,7 +139,7 @@ def strong_gb(gens, sigma):
                 queued.add((i, j))
             if d != lci and d != lc:
                 heapq.heappush(heap, (key(l), 1, i, j))
-        basis.append((Polynomial(ring, terms), lt, lc))
+        basis.append((Polynomial._raw(ring, terms), lt, lc))
 
     def chained(i, j, l, c):
         for k, (_, ltk, lck) in enumerate(basis):
@@ -195,7 +195,7 @@ def _normalize_output(basis, sigma):
     for g, _, _ in minimal:
         work = _Work(dict(g.terms), key, 0)
         heapq.heappop(work.heap)
-        out.append(Polynomial(g.ring, _tail_reduce(work, minimal)))
+        out.append(Polynomial._raw(g.ring, _tail_reduce(work, minimal)))
     return out
 
 

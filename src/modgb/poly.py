@@ -140,7 +140,8 @@ class PolyRing:
         This is the coefficient rule of the ring: equal exponents merge, each
         coefficient is coerced into the domain (reduced mod p over F_p, where
         a denominator divisible by p raises BadPrimeForInput) and zeros are
-        dropped.  Every polynomial outside the two engines is built here.
+        dropped.  Every polynomial outside the two engines is built here,
+        the public Polynomial(ring, terms) included.
         """
         d = {}
         zero, coerce = self.domain.zero, self.domain.coerce
@@ -153,7 +154,7 @@ class PolyRing:
                 d.pop(pp, None)
             else:
                 d[pp] = c
-        return Polynomial(self, d)
+        return Polynomial._raw(self, d)
 
     def __eq__(self, other):
         return (
@@ -197,8 +198,18 @@ class Polynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
+        """The polynomial of the dict terms, under PolyRing.from_terms's rule."""
         self.ring = ring
-        self.terms = terms
+        self.terms = ring.from_terms(terms.items()).terms
+
+    @staticmethod
+    def _raw(ring, terms):
+        """The polynomial with exactly these terms, which must already be
+        merged, coerced and nonzero (the engines' boundaries)."""
+        f = object.__new__(Polynomial)
+        f.ring = ring
+        f.terms = terms
+        return f
 
     def is_zero(self):
         return not self.terms

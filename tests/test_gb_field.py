@@ -379,12 +379,30 @@ _TAUS = (lex(3), deglex(3), elim([0, 1], 3), matrix_order([[1, 2, 3], [0, 0, 1],
 )
 def test_fglm_matches_buchberger(make):
     (R, I), s = make(), degrevlex(3)
-    for p in (None, 11, 13, 2147483647):
+    for p in (None, 2, 3, 11, 13, 2147483647, 18446744073709551557):
         J = I if p is None else reduction(I, s, p)
         G = J.reduced_gb(s)
         assert is_zero_dimensional(G)
         for t in _TAUS:
             assert fglm(G, t) == buchberger_reduced(J.gens, t), (p, t)
+
+
+def test_fp_fglm_spends_the_active_budget():
+    # over F_p only the normal forms of the border, each reduced once,
+    # spend steps: 28 here, where reducing every visited monomial's normal
+    # form from its parent's took 319
+    R, I = many_bad_primes_ideal()
+    s, t, p = degrevlex(3), lex(3), 18446744073709551557
+    unbounded = reduction(I, s, p).reduced_gb(t)
+    red = reduction(I, s, p)
+    red.reduced_gb(s)  # the seed, outside the budget
+    with budget(10**6) as b:
+        assert red.reduced_gb(t) == unbounded
+    assert 10**6 - b.left == 28
+    red = reduction(I, s, p)
+    red.reduced_gb(s)
+    with pytest.raises(BudgetExceeded), budget(27):
+        red.reduced_gb(t)
 
 
 def test_reduced_gb_converts_a_cached_zero_dimensional_basis(monkeypatch):

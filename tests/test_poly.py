@@ -10,6 +10,7 @@ from modgb import (
     GF,
     Ideal,
     PolyRing,
+    Polynomial,
     QQ,
     ZZ,
     content,
@@ -151,6 +152,19 @@ def test_operators_normalize_through_the_ring():
         x.scale(Fraction(1, 7))
     with pytest.raises(ValueError):
         x.mul_term((1,), 1)
+
+
+def test_public_constructor_applies_the_coefficient_rule():
+    R = PolyRing(GF(7), ("x",))
+    x = R.gens()[0]
+    f = Polynomial(R, {(1,): 10, (0,): 14})
+    assert f.terms == {(1,): 3}
+    assert f == x.scale(3) == f + R.zero()
+    assert Polynomial(ring_qq("x"), {(1,): 2}).terms == {(1,): Fraction(2)}
+    with pytest.raises(BadPrimeForInput):
+        Polynomial(R, {(0,): Fraction(1, 7)})
+    with pytest.raises(ValueError):
+        Polynomial(R, {(1, 0): 1})
 
 
 def test_ideal_drops_zero_gens_and_caches():
