@@ -48,8 +48,6 @@ def _pollard_rho(n, rng):
     The products of |x - y| are batched, _RHO_BATCH steps per gcd; when a
     batch overshoots to the gcd n, its steps are retraced one at a time.
     """
-    if n % 2 == 0:
-        return 2
     while True:
         c = rng.randrange(1, n)
         y = rng.randrange(0, n)

@@ -56,19 +56,18 @@ class _Basis:
 
 
 class ReducedGB(_Basis):
-    """A reduced Groebner basis of monic elements.  It keeps the engine's
-    reducer entries of its elements once built."""
+    """A reduced Groebner basis of monic elements, with the engine's reducer
+    entries of its elements: element i has the entry at position i, so the
+    entries are sigma-smallest first, as _reducers orders them."""
 
     __slots__ = ("entries",)
 
     def __init__(self, ordering, elements):
         super().__init__(ordering, elements)
-        self.entries = None
+        self.entries = [_reducer(g, pos, ordering) for pos, g in enumerate(self.elements)]
 
     def leading_terms(self):
-        if self.entries is not None:
-            return [e[0] for e in sorted(self.entries, key=lambda e: e[3])]
-        return [leading(g, self.ordering)[0] for g in self.elements]
+        return [e[0] for e in self.entries]
 
     def __eq__(self, other):
         return (
@@ -167,9 +166,11 @@ def _entry(terms, lt, pos, p):
 
 
 def _basis(ring, sigma, entries):
-    """The ReducedGB of the monic polynomials of reducer entries, which it keeps."""
-    G = ReducedGB(sigma, [_polynomial(ring, dict([e[:2]] + e[2]), e[1]) for e in entries])
-    G.entries = entries
+    """The ReducedGB of the monic polynomials of reducer entries, sigma-smallest
+    first, which it keeps instead of building them again."""
+    G = ReducedGB.__new__(ReducedGB)
+    G.ordering, G.entries = sigma, entries
+    G.elements = [_polynomial(ring, dict([e[:2]] + e[2]), e[1]) for e in entries]
     return G
 
 
@@ -182,13 +183,10 @@ def _reducers(polys, sigma):
     """Reducer entries with the deterministic choice rule: sigma-smallest
     leading term first, ties broken by list position.  A reduced sigma-basis
     keeps them."""
-    kept = isinstance(polys, ReducedGB) and (polys.ordering is sigma or polys.ordering == sigma)
-    if kept and polys.entries is not None:
+    if isinstance(polys, ReducedGB) and (polys.ordering is sigma or polys.ordering == sigma):
         return polys.entries
     entries = [_reducer(g, pos, sigma) for pos, g in enumerate(polys)]
     entries.sort(key=lambda e: sigma.key(e[0]))
-    if kept:
-        polys.entries = entries
     return entries
 
 
@@ -502,9 +500,8 @@ def _fraction_free_rows(G):
     vector and its combination by a / gcd(a, f) and subtracting
     f / gcd(a, f) times the row; a new row is made primitive.
     """
-    sigma = G.ordering
-    reducers = _reducers(G, sigma)
-    heads = [e[0] for e in reducers]
+    sigma, reducers = G.ordering, G.entries
+    heads = G.leading_terms()
     rows = []  # (pivot, pivot coefficient, echelon row, combination, normal form, its scale)
 
     def subtract(v, f, w):
@@ -568,9 +565,8 @@ def _packed_rows(G):
     pivot entry, and eliminating an entry costs one multiply-add on the
     vector and one on its combination.
     """
-    sigma, ring = G.ordering, G[0].ring
+    sigma, ring, reducers = G.ordering, G[0].ring, G.entries
     p = ring.domain.characteristic
-    reducers = _reducers(G, sigma)
     tails = {e[0]: e[2] for e in reducers}
     box = prod(max(t) for t in tails if max(t) == sum(t))
     B = (2 * p.bit_length() + (2 * box + 2).bit_length() + 7) // 8  # bytes per slot
@@ -629,8 +625,9 @@ def _convert(G, tau):
     leading term under tau (<lt_tau G> = in(I) lies in in_tau(I), and both
     standard-monomial sets are bases of R/I, so they agree), else by FGLM if
     G is zero-dimensional, else by Buchberger."""
-    if all(leading(g, tau)[0] == lt for g, lt in zip(G, G.leading_terms())):
-        return ReducedGB(tau, sorted(G, key=lambda g: tau.key(leading(g, tau)[0])))
+    lts = G.leading_terms()
+    if all(leading(g, tau)[0] == lt for g, lt in zip(G, lts)):
+        return ReducedGB(tau, [g for _, g in sorted(zip(lts, G), key=lambda e: tau.key(e[0]))])
     if is_zero_dimensional(G):
         return fglm(G, tau)
     return buchberger_reduced(G.elements, tau)
@@ -657,19 +654,20 @@ def s_polynomial(f, g, sigma):
 
 def is_groebner(basis, sigma):
     """Buchberger's criterion on the S-pairs that the product and chain
-    criteria keep, taken as buchberger takes them: all reduce to zero."""
-    polys = [g for g in basis if not g.is_zero()]
-    entries = [_reducer(g, pos, sigma) for pos, g in enumerate(polys)]
+    criteria keep, over the reducer entries taken sigma-smallest first: all
+    reduce to zero."""
+    if not isinstance(basis, ReducedGB):
+        basis = [g for g in basis if not g.is_zero()]
+    entries = _reducers(basis, sigma)
     lts, pairs = [], set()
     for j, e in enumerate(entries):
         lts.append(e[0])
         pairs.update(_gm_update(lts, pairs, j, sigma))
     if not pairs:
         return True
-    reducers = sorted(entries, key=lambda e: sigma.key(e[0]))
-    p = polys[0].ring.domain.characteristic
+    p = basis[0].ring.domain.characteristic
     return not any(
-        _reduce(_s_work(entries[a], entries[b], sigma.key, p), reducers, full=False)
+        _reduce(_s_work(entries[a], entries[b], sigma.key, p), entries, full=False)
         for a, b in pairs
     )
 

@@ -16,7 +16,7 @@ import time
 from .arith import crt_pair, random_prime, rational_reconstruct, unused_prime
 from .gb_field import ReducedGB, is_groebner, is_zero_dimensional, normal_form
 from .orderings import degrevlex
-from .poly import BadPrimeForInput, PolyRing, QQ, leading, pp_divides
+from .poly import BadPrimeForInput, PolyRing, QQ, pp_divides
 from .primes import reduction, sigma_bad_verdict, tau_bad_verdict
 from .tuples import EQUAL, LtTuple, PRECEDES, count_standard, precedes
 
@@ -93,15 +93,13 @@ def verify_candidate(candidate, I, tau, sigma=None):
     """
     if not candidate:
         return not I.gens
-    lts = []
-    for g in candidate:
-        if g.is_zero():
-            return False
-        lt, lc = leading(g, tau)
-        if lc != 1:
-            return False
-        lts.append(lt)
-    for i, g in enumerate(candidate):
+    if any(g.is_zero() for g in candidate):
+        return False
+    C = ReducedGB(tau, candidate)
+    lts = C.leading_terms()
+    if any(g.terms[lt] != 1 for g, lt in zip(C, lts)):
+        return False
+    for i, g in enumerate(C):
         for j, lt in enumerate(lts):
             if i != j and any(pp_divides(lt, t) for t in g.terms):
                 return False
@@ -114,11 +112,11 @@ def verify_candidate(candidate, I, tau, sigma=None):
         if count_standard(lts, n, dim) != dim:
             return False
     else:
-        if not all(normal_form(f, candidate, tau).is_zero() for f in I.gens):
+        if not all(normal_form(f, C, tau).is_zero() for f in I.gens):
             return False
-        if not is_groebner(candidate, tau):
+        if not is_groebner(C, tau):
             return False
-    return all(normal_form(g, G, sigma).is_zero() for g in candidate)
+    return all(normal_form(g, G, sigma).is_zero() for g in C)
 
 
 class ModularGBResult:

@@ -356,20 +356,20 @@ class Ideal:
         (that basis itself when sigma keeps its leading terms, else FGLM
         when it is zero-dimensional, else Buchberger seeded with it).
         With none held yet, the first is the degrevlex basis, computed by
-        Buchberger from the generators and cached first.
+        Buchberger from the generators and cached first, and returned as it
+        is when sigma is degrevlex.
         """
         key = sigma.canonical()
-        basis = self._gb_cache.get(key)
-        if basis is None:
+        if key not in self._gb_cache:
             from .gb_field import _convert, buchberger_reduced
             from .orderings import degrevlex
 
             if not self._gb_cache:
                 drl = degrevlex(self.ring.n)
                 self._gb_cache[drl.canonical()] = buchberger_reduced(self.gens, drl)
-            basis = _convert(next(iter(self._gb_cache.values())), sigma)
-            self._gb_cache[key] = basis
-        return basis
+            if key not in self._gb_cache:
+                self._gb_cache[key] = _convert(next(iter(self._gb_cache.values())), sigma)
+        return self._gb_cache[key]
 
     def __repr__(self):
         return "Ideal(%r, %d gens)" % (self.ring, len(self.gens))

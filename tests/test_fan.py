@@ -15,6 +15,7 @@ from modgb import (
     GF,
     Ideal,
     PolyRing,
+    ReducedGB,
     buchberger_reduced,
     budget,
     enumerate_fan,
@@ -147,6 +148,24 @@ def test_reduction_universal_agreement():
     for cone in fan.cones:
         for g in cone.elements:
             assert normal_form(reduce_mod_p(g, 3), G0, s).is_zero()
+
+
+def test_reduction_universal_verify_rejects_a_disagreeing_cone(monkeypatch):
+    # every cone after the first is given the unit ideal as its image mod 5
+    R, I = twelve_cone_ideal()
+    reduce_basis = fan_module._reduce_basis
+    seen = []
+
+    def wrong_image(I, G, field):
+        seen.append(G)
+        if len(seen) > 1:
+            G = ReducedGB(G.ordering, [R.one()])
+        return reduce_basis(I, G, field)
+
+    monkeypatch.setattr(fan_module, "_reduce_basis", wrong_image)
+    with pytest.raises(ValueError, match="cone bases disagree modulo 5; 5 divides Delta"):
+        reduction_universal(I, 5, verify=True)
+    assert len(seen) > 1
 
 
 def test_reduction_universal_rejects_divisor_of_delta():

@@ -421,6 +421,25 @@ def test_reduced_gb_converts_a_cached_zero_dimensional_basis(monkeypatch):
     assert converted == [lex(3)]
 
 
+def test_fresh_ideal_returns_its_buchberger_degrevlex_basis(monkeypatch):
+    R, I = many_bad_primes_ideal()
+    built = []
+    buchberger = gb_field.buchberger_reduced
+
+    def traced(gens, sigma):
+        built.append(buchberger(gens, sigma))
+        return built[-1]
+
+    def no_convert(G, tau):
+        raise AssertionError("the degrevlex basis was converted to degrevlex")
+
+    monkeypatch.setattr(gb_field, "buchberger_reduced", traced)
+    monkeypatch.setattr(gb_field, "_convert", no_convert)
+    G = I.reduced_gb(degrevlex(3))
+    assert len(built) == 1 and G is built[0]
+    assert I.reduced_gb(degrevlex(3)) is G
+
+
 @pytest.mark.parametrize(
     "make", [many_bad_primes_ideal, twelve_cone_ideal], ids=["many_bad_primes", "twelve_cone"]
 )

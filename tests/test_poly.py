@@ -1,4 +1,5 @@
-"""Polynomial arithmetic, denominators, primitive parts, modular images."""
+"""Polynomial arithmetic, denominators, primitive parts, modular images,
+and the input checks of the library."""
 
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from modgb import (
     Polynomial,
     QQ,
     ZZ,
+    check_rad_identity,
     content,
     den,
     den_of_set,
@@ -22,8 +24,9 @@ from modgb import (
     prim,
     reduce_mod_p,
 )
+from modgb.arith import crt_pair, rational_reconstruct
 from modgb.gb_field import s_polynomial
-from modgb.orderings import degrevlex, lex
+from modgb.orderings import MatrixOrder, degrevlex, elim, lex
 
 
 def test_ring_construction_validates_names():
@@ -193,3 +196,46 @@ def test_hash_consistency():
     x = R.gens()[0]
     assert hash(x + R.one()) == hash(R.one() + x)
     assert x + R.one() == R.one() + x
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: crt_pair(0, 1, 0, 5), "moduli must be >= 2"),
+        (lambda: rational_reconstruct(7, 5), "residue out of range"),
+        (lambda: MatrixOrder([]), "matrix ordering needs at least one row"),
+        (lambda: MatrixOrder([[1, 1], [1]]), "matrix ordering rows must all have length 2"),
+        (lambda: elim([5], 2), r"elimination block must be a non-empty subset of 0\.\.n-1"),
+        (lambda: den(ring_zz("x").var(0)), "den is defined for rational coefficients only"),
+        (lambda: content(ring_qq("x").var(0)), "content is defined over ZZ"),
+        (lambda: prim(ring_qq("x").zero(), lex(1)), "prim of the zero polynomial is undefined"),
+        (
+            lambda: prim(PolyRing(GF(7), ("x",)).var(0), lex(1)),
+            "prim needs coefficients in QQ or ZZ",
+        ),
+        (
+            lambda: Ideal(ring_qq("x", "y"), [ring_qq("x").var(0)]),
+            "all generators must live in the ambient ring",
+        ),
+        (
+            lambda: check_rad_identity(Ideal(ring_qq("x"), []), lex(1)),
+            "the zero ideal has no denominator identity",
+        ),
+    ],
+    ids=[
+        "crt_modulus_below_2",
+        "residue_out_of_range",
+        "matrix_without_rows",
+        "ragged_matrix_rows",
+        "elim_block_out_of_range",
+        "den_over_zz",
+        "content_over_qq",
+        "prim_of_zero",
+        "prim_over_fp",
+        "generator_from_another_ring",
+        "rad_identity_of_zero_ideal",
+    ],
+)
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
