@@ -3,17 +3,39 @@
 Completion uses both S-polynomials (cancelling leading monomials through the
 lcm of the leading terms and of the leading coefficients) and GCD-polynomials
 (combining two elements to realize the gcd of their leading coefficients).
-Pairs are pruned by criteria that hold over ZZ (Kandri-Rody and Kapur, JSC
-1988; Lichtblau, "Effective computation of strong Groebner bases over
-Euclidean domains", 2012):
+A leading monomial is c*x^a with c > 0.  The lcm of two is
+lcm(c, c')*x^max(a, a'), and one divides another when its coefficient and
+its term both do.
 
-- an S-pair by the product criterion, when both the leading terms and the
-  leading coefficients are coprime;
-- an S-pair (i, j) by the chain criterion, when a third element's leading
-  monomial divides lcm(lc_i, lc_j) * lcm(lt_i, lt_j) and neither of its
-  S-pairs with i and j is still queued;
-- a GCD-pair when some element's leading monomial already divides
-  gcd(lc_i, lc_j) * lcm(lt_i, lt_j).
+S-pairs are pruned by Gebauer and Moeller's update ("On an installation of
+Buchberger's algorithm", JSC 1988), run when element k is appended.  With
+L_ij the lcm of the leading monomials lm_i and lm_j:
+
+- B: a queued S-pair (i, j) is dropped when lm_k divides L_ij and
+  L_ij differs from both L_ik and L_jk;
+- M: a new S-pair (i, k) is dropped when another new pair's lcm properly
+  divides L_ik;
+- F: of the new S-pairs left with one lcm, one is queued, and none when
+  one of them meets the product criterion (coprime terms and coprime
+  coefficients, so that L_ik = lm_i * lm_k).
+
+A GCD-pair is skipped when some element's leading monomial already divides
+gcd(lc_i, lc_j) * lcm(lt_i, lt_j).
+
+Why the field criteria hold over ZZ (Lichtblau, "Effective computation of
+strong Groebner bases over Euclidean domains", Illinois J. Math. 2012).  A
+basis whose GCD-pairs are done is strong once the S-polynomial of each
+syzygy in a generating set of the syzygies of lm_1, ..., lm_k has a standard
+representation.  Over ZZ, as over a field, the syzygies of the monomials
+c_i*x^(a_i) are generated by the pairwise S-syzygies
+S_ij = (L_ij/lm_i) e_i - (L_ij/lm_j) e_j: in each multidegree they are the
+integer relations among the c_i, which the pairwise ones generate.  If lm_k
+divides L_ij, then L_ik and L_jk divide L_ij and
+S_ij = (L_ij/L_ik) S_ik - (L_ij/L_jk) S_jk, a combination with monomial
+coefficients.  A pair whose leading monomials are coprime has S-polynomial
+tail_k*f_i - tail_i*f_k, a standard representation.  Gebauer and Moeller's
+proof that B, M and F keep a generating set uses only these two facts and
+the lattice of lcms, so it holds as written.
 
 Reduction runs in place on gb_field's heap-ordered work polynomial.  The
 head is reduced by exact (strong) steps; every other term by a Euclidean
@@ -123,36 +145,37 @@ def strong_gb(gens, sigma):
     key = sigma.key
     basis = []  # entries (poly, lt, lc) with lc > 0
     heap = []  # (key of pp-lcm, kind, i, j); kind 0 = S-pair, 1 = GCD-pair
-    queued = set()  # the S-pairs still on the heap
+    queued = {}  # the S-pairs still on the heap: (i, j) -> their lcm (l, c)
 
     def append(work, lt):
         terms = _tail_reduce(work, basis)
         if terms[lt] < 0:
             terms = {t: -c for t, c in terms.items()}
         lc = terms[lt]
-        j = len(basis)
-        for i, (_, lti, lci) in enumerate(basis):
-            l = pp_lcm(lti, lt)
-            d = math.gcd(lci, lc)
-            if d != 1 or l != pp_mul(lti, lt):  # else the product criterion holds
-                heapq.heappush(heap, (key(l), 0, i, j))
-                queued.add((i, j))
-            if d != lci and d != lc:
-                heapq.heappush(heap, (key(l), 1, i, j))
-        basis.append((Polynomial._raw(ring, terms), lt, lc))
-
-    def chained(i, j, l, c):
-        for k, (_, ltk, lck) in enumerate(basis):
-            if (
-                k != i
-                and k != j
-                and c % lck == 0
-                and all(map(le, ltk, l))
-                and (min(i, k), max(i, k)) not in queued
-                and (min(j, k), max(j, k)) not in queued
+        k = len(basis)
+        # the lcm of each new S-pair (i, k), and the pairs of each lcm
+        lcms = [(pp_lcm(lti, lt), math.lcm(lci, lc)) for _, lti, lci in basis]
+        groups = {}
+        for i, m in enumerate(lcms):
+            groups.setdefault(m, []).append(i)
+        for (i, j), (l, c) in list(queued.items()):  # criterion B
+            if c % lc == 0 and all(map(le, lt, l)) and lcms[i] != (l, c) != lcms[j]:
+                del queued[i, j]
+        for (l, c), pairs in groups.items():
+            if any(  # criterion M: another new lcm properly divides this one
+                c % c2 == 0 and all(map(le, l2, l)) and (l2, c2) != (l, c)
+                for l2, c2 in groups
+            ) or any(  # criterion F: the product criterion holds for one pair
+                l == pp_mul(basis[i][1], lt) and c == basis[i][2] * lc for i in pairs
             ):
-                return True
-        return False
+                continue
+            heapq.heappush(heap, (key(l), 0, pairs[0], k))
+            queued[pairs[0], k] = (l, c)
+        for i, (_, lti, lci) in enumerate(basis):
+            d = math.gcd(lci, lc)
+            if d != lci and d != lc:
+                heapq.heappush(heap, (key(lcms[i][0]), 1, i, k))
+        basis.append((Polynomial._raw(ring, terms), lt, lc))
 
     for g in todo:
         work = _Work(dict(g.terms), key, 0)
@@ -163,10 +186,9 @@ def strong_gb(gens, sigma):
         g, ltj, lcj = basis[j]
         l = pp_lcm(lti, ltj)
         if kind == 0:
-            queued.discard((i, j))
-            c = int_lcm(lci, lcj)
-            if chained(i, j, l, c):
+            if (i, j) not in queued:  # pruned by criterion B
                 continue
+            c = queued.pop((i, j))[1]
             a, b = c // lci, c // lcj  # a*f - b*g
         else:
             d, a, b = _ext_gcd(lci, lcj)
