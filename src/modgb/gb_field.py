@@ -13,18 +13,41 @@ at the end, and during the reduction whenever s has grown by _GROWTH bits.
 Fractions exist only at the boundary: a QQ polynomial enters as
 den(f) * f with scale den(f), and every QQ polynomial a caller gets back
 has Fraction coefficients.  Every basis returned is monic.
+
+Inside the engine a power product is one int, its sigma-code.  With the
+ordering's weight rows R_1, ..., R_m (orderings.weight_rows: non-negative
+integers, compared before the exponents), the code of x^e holds the fields
+R_1.e, ..., R_m.e, e_1, ..., e_n, most significant first, each W bits wide
+with a zero guard bit above it.  W is chosen per run: the bit length of the
+largest field of the lcm of the run's input power products, plus 32 bits of
+headroom.  The code is linear in e, so it is the sum of e_j times the code
+of x_j, and with H the mask of the guard bits:
+
+- s <_sigma t exactly when code(s) < code(t), since the fields compare as
+  the ordering's key does;
+- code(s * t) = code(s) + code(t), as long as no field overflows; a field
+  that does sets its guard bit, and the engine raises OverflowError on the
+  first such product rather than wrap;
+- s divides t exactly when ((code(t) | H) - code(s)) & H == H: each field
+  of t with its guard bit set, minus that of s, keeps the guard bit exactly
+  when it does not go below it, and borrows nothing from the next field.
+
+Each run encodes its inputs on entry and decodes its outputs on exit; every
+public object, and the entries a ReducedGB keeps, hold exponent tuples.
 """
 
 import heapq
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, prod
-from operator import add, le, neg, sub
+from operator import itemgetter, mul
 
-from .poly import QQ, Polynomial, den, leading, pp_div, pp_divides, pp_lcm, pp_mul
+from .poly import QQ, Polynomial, den, leading
 
 # scale growth, in bits, between two divisions by the content during a reduction
 _GROWTH = 256
+# bits of each code field above the largest field of the run's inputs
+_HEADROOM = 32
 # the innermost active budget, or None
 _ACTIVE = ContextVar("modgb_budget", default=None)
 
@@ -99,29 +122,113 @@ class budget:
             raise BudgetExceeded("reduction budget of %d exhausted" % self.steps)
 
 
+class _Codes:
+    """The sigma-codes of one run, in fields of the given width (module
+    docstring).  Field k of f fields, counted from the most significant,
+    sits at bits [(f - 1 - k) * (width + 1), ... + width)."""
+
+    __slots__ = ("width", "guard", "mask", "shifts", "units")
+
+    def __init__(self, sigma, width):
+        rows, n = sigma.weight_rows(), sigma.n
+        step, fields = width + 1, len(rows) + n
+        self.width, self.mask = width, (1 << width) - 1
+        self.guard = sum(1 << (k * step + width) for k in range(fields))
+        self.shifts = [(n - 1 - j) * step for j in range(n)]  # of the exponent fields
+        tops = [(fields - 1 - k) * step for k in range(len(rows))]
+        self.units = [  # the code of each indeterminate
+            sum(row[j] << at for row, at in zip(rows, tops)) + (1 << at_j)
+            for j, at_j in enumerate(self.shifts)
+        ]
+
+    def overflow(self):
+        return OverflowError(
+            "a power product overflows the %d-bit fields of the monomial codes" % self.width
+        )
+
+    def encode(self, pp):
+        c = sum(map(mul, pp, self.units))
+        if c & self.guard:
+            raise self.overflow()
+        return c
+
+    def decode(self, c):
+        mask = self.mask
+        return tuple([c >> at & mask for at in self.shifts])
+
+    def divides(self, s, t):
+        guard = self.guard
+        return (t | guard) - s & guard == guard
+
+    def lcm(self, s, t):
+        return self.encode(map(max, self.decode(s), self.decode(t)))
+
+    def encode_terms(self, terms):
+        encode = self.encode
+        return {encode(t): c for t, c in terms.items()}
+
+    def decode_terms(self, terms):
+        decode = self.decode
+        return {decode(t): c for t, c in terms.items()}
+
+    def entry(self, e):
+        """The reducer entry e with its power products encoded."""
+        lt, lc, tail, pos = e
+        encode = self.encode
+        return encode(lt), lc, [(encode(s), a) for s, a in tail], pos
+
+    def decoded(self, e):
+        lt, lc, tail, pos = e
+        decode = self.decode
+        return decode(lt), lc, [(decode(s), a) for s, a in tail], pos
+
+
+def _width(polys, *orderings):
+    """The field width of a run whose inputs are the polynomials polys, for
+    codes under each of the orderings: the bit length of the largest field
+    of the lcm of their power products, plus _HEADROOM."""
+    top = [0] * orderings[0].n
+    for f in polys:
+        if f.terms:
+            top = list(map(max, top, *f.terms))
+    weights = [sum(map(mul, row, top)) for o in orderings for row in o.weight_rows()]
+    largest = max(top + weights, default=0)
+    return largest.bit_length() + _HEADROOM
+
+
+def _codes(sigma, polys):
+    """The sigma-codes of a run whose inputs are the polynomials polys."""
+    return _Codes(sigma, _width(polys, sigma))
+
+
 class _Work:
-    """A polynomial under reduction, terms / scale: its terms in a dict beside
-    a heap of negated ordering keys, so the sigma-largest term pops first.  A
-    popped entry whose term is no longer in the dict (cancelled, or a
+    """A polynomial under reduction, terms / scale: its terms in a dict keyed
+    by sigma-code beside a heap of negated codes, so the sigma-largest term
+    pops first.  A popped code no longer in the dict (cancelled, or a
     duplicate of a term already handled, which sits next to it) is stale and
     skipped.  The scale stays 1 over F_p."""
 
-    __slots__ = ("terms", "heap", "key", "p", "scale")
+    __slots__ = ("terms", "heap", "codes", "p", "scale")
 
-    def __init__(self, terms, key, p, scale=1):
-        self.terms, self.key, self.p, self.scale = terms, key, p, scale
-        self.heap = [(tuple(map(neg, key(t))), t) for t in terms]
+    def __init__(self, terms, codes, p, scale=1):
+        self.terms, self.codes, self.p, self.scale = terms, codes, p, scale
+        self.heap = [-t for t in terms]
         heapq.heapify(self.heap)
 
     def sub(self, factor, shift, tail):
-        """terms -= factor * x^shift * tail, in place."""
-        terms, heap, key, p = self.terms, self.heap, self.key, self.p
+        """terms -= factor * x^shift * tail, in place.  A new product that
+        sets a guard bit raises OverflowError; a product already among the
+        terms cannot have set one."""
+        terms, heap, p = self.terms, self.heap, self.p
+        guard = self.codes.guard
         for s, a in tail:
-            u = tuple(map(add, s, shift))
+            u = s + shift
             v = terms.get(u)
             if v is None:
+                if u & guard:
+                    raise self.codes.overflow()
                 v = -factor * a
-                heapq.heappush(heap, (tuple(map(neg, key(u))), u))
+                heapq.heappush(heap, -u)
             else:
                 v -= factor * a
             if p:
@@ -165,12 +272,13 @@ def _entry(terms, lt, pos, p):
     return lt, lc // g, [(s, a // g) for s, a in terms.items() if s != lt], pos
 
 
-def _basis(ring, sigma, entries):
-    """The ReducedGB of the monic polynomials of reducer entries, sigma-smallest
-    first, which it keeps instead of building them again."""
+def _basis(ring, sigma, entries, codes):
+    """The ReducedGB of the monic polynomials of encoded reducer entries,
+    sigma-smallest first, which it keeps, decoded, instead of building them
+    again."""
     G = ReducedGB.__new__(ReducedGB)
-    G.ordering, G.entries = sigma, entries
-    G.elements = [_polynomial(ring, dict([e[:2]] + e[2]), e[1]) for e in entries]
+    G.ordering, G.entries = sigma, [codes.decoded(e) for e in entries]
+    G.elements = [_polynomial(ring, dict([e[:2]] + e[2]), e[1]) for e in G.entries]
     return G
 
 
@@ -179,14 +287,20 @@ def _reducer(g, pos, sigma):
     return _entry(_integral(g)[0], leading(g, sigma)[0], pos, g.ring.domain.characteristic)
 
 
-def _reducers(polys, sigma):
-    """Reducer entries with the deterministic choice rule: sigma-smallest
-    leading term first, ties broken by list position.  A reduced sigma-basis
-    keeps them."""
+def _coded(g, pos, codes):
+    """Encoded reducer entry of the nonzero polynomial g at list position pos."""
+    terms = codes.encode_terms(_integral(g)[0])
+    return _entry(terms, max(terms), pos, g.ring.domain.characteristic)
+
+
+def _reducers(polys, sigma, codes):
+    """Encoded reducer entries with the deterministic choice rule:
+    sigma-smallest leading term first, ties broken by list position.  A
+    reduced sigma-basis keeps them."""
     if isinstance(polys, ReducedGB) and (polys.ordering is sigma or polys.ordering == sigma):
-        return polys.entries
-    entries = [_reducer(g, pos, sigma) for pos, g in enumerate(polys)]
-    entries.sort(key=lambda e: sigma.key(e[0]))
+        return [codes.entry(e) for e in polys.entries]
+    entries = [_coded(g, pos, codes) for pos, g in enumerate(polys)]
+    entries.sort(key=itemgetter(0))
     return entries
 
 
@@ -218,19 +332,19 @@ def _reduce(work, reducers, full=True, on_step=None):
     keeps the scale exact, and the content is divided out whenever the scale
     has grown by _GROWTH bits.
     """
-    # pp_divides, pp_div and pp_mul are inlined in this loop and in
-    # _Work.sub: the calls cost about a sixth of the F_p kernel's time
     terms, heap, p = work.terms, work.heap, work.p
+    guard = work.codes.guard
     steps = _ACTIVE.get()
     out = {}
     limit = work.scale.bit_length() + _GROWTH
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = -heapq.heappop(heap)
         c = terms.get(t)
         if c is None:
             continue
+        th = t | guard
         for lt, lc, tail, pos in reducers:
-            if all(map(le, lt, t)):
+            if th - lt & guard == guard:  # lt divides t
                 break
         else:
             if not full:
@@ -240,7 +354,7 @@ def _reduce(work, reducers, full=True, on_step=None):
         del terms[t]
         if steps is not None:
             steps.spend()
-        shift = tuple(map(sub, t, lt))
+        shift = t - lt
         if on_step is not None:
             on_step(pos, shift, c, work.scale)
         if lc == 1:
@@ -276,9 +390,10 @@ def normal_form(f, G, sigma):
         raise ValueError("the polynomial and the basis lie in different rings")
     p = f.ring.domain.characteristic
     terms, scale = _integral(f)
-    work = _Work(terms, sigma.key, p, scale)
-    r = _reduce(work, _reducers(G, sigma))
-    return _polynomial(f.ring, r, work.scale)
+    codes = _codes(sigma, [f, *G])
+    work = _Work(codes.encode_terms(terms), codes, p, scale)
+    r = _reduce(work, _reducers(G, sigma, codes))
+    return _polynomial(f.ring, codes.decode_terms(r), work.scale)
 
 
 def _divide(work, reducers, row, reps, full=True):
@@ -290,10 +405,11 @@ def _divide(work, reducers, row, reps, full=True):
     scale, so is the returned one of the remainder over its final scale.
     """
     quotients = {}
+    decode = work.codes.decode
 
     def record(pos, shift, factor, scale):
         quotients.setdefault(pos, []).append(
-            (shift, factor if scale == 1 else Fraction(factor, scale))
+            (decode(shift), factor if scale == 1 else Fraction(factor, scale))
         )
 
     r = _reduce(work, reducers, full, record)
@@ -303,52 +419,56 @@ def _divide(work, reducers, row, reps, full=True):
     return r, row
 
 
-def _s_work(ra, rb, key, p):
-    """The S-polynomial of the monic polynomials of two reducer entries, as
-    a _Work: their leading terms cancel, so it is built from the shifted
-    tails.  Over QQ its terms are lcm(lc_a, lc_b) times the S-polynomial,
-    and that lcm is its scale."""
+def _s_work(ra, rb, l, codes, p):
+    """The S-polynomial of the monic polynomials of two encoded reducer
+    entries, whose leading terms have the lcm l, as a _Work: their leading
+    terms cancel, so it is built from the shifted tails.  Over QQ its terms
+    are lcm(lc_a, lc_b) times the S-polynomial, and that lcm is its scale."""
     (lta, lca, taila, _), (ltb, lcb, tailb, _) = ra, rb
-    l = pp_lcm(lta, ltb)
-    sa = pp_div(l, lta)
     g = gcd(lca, lcb)
     ma, mb = lcb // g, lca // g
-    work = _Work({pp_mul(t, sa): ma * c for t, c in taila}, key, p, ma * lca)
-    work.sub(mb, pp_div(l, ltb), tailb)
+    work = _Work({}, codes, p, ma * lca)
+    work.sub(-ma, l - lta, taila)
+    work.sub(mb, l - ltb, tailb)
     return work
 
 
-def _gm_update(lts, pairs, j, sigma):
-    """Gebauer-Moeller pair update when basis element j is appended.
+def _gm_update(lts, exps, pairs, j, codes):
+    """Gebauer-Moeller pair update when basis element j is appended, on
+    the codes lts of the leading terms and their exponent tuples exps.
 
-    Drops from pairs, in place, the pairs that j makes redundant, and
-    returns the new pairs (i, j) that the product and chain criteria leave.
+    pairs maps each queued pair to the code of its lcm.  Drops from it, in
+    place, the pairs that j makes redundant, and returns the new pairs
+    (i, j) that the product and chain criteria leave, each with its lcm.
     """
-    ltj = lts[j]
-    lcm = pp_lcm
-    dropped = []
-    for a, b in pairs:
-        l = lcm(lts[a], lts[b])
-        if pp_divides(ltj, l) and l != lcm(lts[a], ltj) and l != lcm(lts[b], ltj):
-            dropped.append((a, b))
-    pairs.difference_update(dropped)
+    ltj, ej, guard, encode = lts[j], exps[j], codes.guard, codes.encode
+    lcms = [encode(map(max, e, ej)) for e in exps[:j]]
+    dropped = [
+        (a, b)
+        for (a, b), l in pairs.items()
+        if (l | guard) - ltj & guard == guard and l != lcms[a] and l != lcms[b]
+    ]
+    for ab in dropped:
+        del pairs[ab]
     by_lcm = {}
-    for i in range(j):
-        by_lcm.setdefault(lcm(lts[i], ltj), []).append(i)
+    for i, l in enumerate(lcms):
+        by_lcm.setdefault(l, []).append(i)
     minimal = []
-    for l in sorted(by_lcm, key=sigma.key):
-        if all(not pp_divides(m, l) for m in minimal):
+    for l in sorted(by_lcm):
+        lg = l | guard
+        if all(lg - m & guard != guard for m in minimal):
             minimal.append(l)
     return [
-        (min(by_lcm[l]), j)
+        ((min(by_lcm[l]), j), l)
         for l in minimal
-        if not any(lcm(lts[i], ltj) == pp_mul(lts[i], ltj) for i in by_lcm[l])
+        if not any(l == lts[i] + ltj for i in by_lcm[l])
     ]
 
 
-def buchberger(gens, sigma, reps=None):
-    """The reducer entries, in insertion order, of a (not reduced) Groebner
-    basis of the ideal generated by gens.
+def buchberger(gens, codes, reps=None):
+    """The encoded reducer entries, in insertion order, of a (not reduced)
+    Groebner basis of the ideal generated by gens.  codes fix the ordering;
+    they are those of a run whose inputs include gens.
 
     S-pairs are taken by the sugar strategy (Giovini-Mora-Niesi-Robbiano-
     Traverso 1991): least sugar first, then the sigma-smallest lcm, then
@@ -368,24 +488,25 @@ def buchberger(gens, sigma, reps=None):
     dom, p = ring.domain, ring.domain.characteristic
     entries = []
     lts = []
+    exps = []
     sugar = []
-    pairs = set()
+    pairs = {}  # the queued pairs: (a, b) -> the code of their lcm
     heap = []
-    key = sigma.key
 
     def append(terms, lt, scale, f_sugar, rep):
         """Append the polynomial terms / scale, whose coefficients in gens are rep."""
         entries.append(_entry(terms, lt, len(entries), p))
         lts.append(lt)
+        exps.append(codes.decode(lt))
         sugar.append(f_sugar)
         if reps is not None:
             inv = dom.invert(dom.coerce(Fraction(terms[lt], scale)))
             reps.append([x.scale(inv) for x in rep])
-        for a, b in _gm_update(lts, pairs, len(entries) - 1, sigma):
-            pairs.add((a, b))
-            l = pp_lcm(lts[a], lts[b])
-            pair_sugar = max(sugar[a] - sum(lts[a]), sugar[b] - sum(lts[b])) + sum(l)
-            heapq.heappush(heap, (pair_sugar, key(l), (a, b)))
+        for (a, b), l in _gm_update(lts, exps, pairs, len(entries) - 1, codes):
+            pairs[a, b] = l
+            pair_sugar = max(sugar[a] - sum(exps[a]), sugar[b] - sum(exps[b]))
+            pair_sugar += sum(codes.decode(l))
+            heapq.heappush(heap, (pair_sugar, l, (a, b)))
 
     for i, f in enumerate(gens):
         if not f.is_zero():
@@ -393,25 +514,24 @@ def buchberger(gens, sigma, reps=None):
             if reps is not None:
                 unit = [ring.one() if k == i else ring.zero() for k in range(len(gens))]
             terms, scale = _integral(f)
-            append(terms, leading(f, sigma)[0], scale, max(map(sum, terms)), unit)
+            coded = codes.encode_terms(terms)
+            append(coded, max(coded), scale, max(map(sum, terms)), unit)
 
     one = dom.one
     while heap:
-        pair_sugar, _, (a, b) = heapq.heappop(heap)
-        if (a, b) not in pairs:
+        pair_sugar, l, (a, b) = heapq.heappop(heap)
+        if pairs.pop((a, b), None) is None:
             continue
-        pairs.discard((a, b))
-        work = _s_work(entries[a], entries[b], key, p)
+        work = _s_work(entries[a], entries[b], l, codes, p)
         rep = None
         if reps is None:
             s = _reduce(work, entries, full=False)
         else:
-            l = pp_lcm(lts[a], lts[b])
-            sa, sb = pp_div(l, lts[a]), pp_div(l, lts[b])
+            sa, sb = codes.decode(l - lts[a]), codes.decode(l - lts[b])
             rep = [x.mul_term(sa, one) - y.mul_term(sb, one) for x, y in zip(reps[a], reps[b])]
             s, rep = _divide(work, entries, rep, reps, full=False)
         if s:
-            append(s, max(s, key=key), work.scale, pair_sugar, rep)
+            append(s, max(s), work.scale, pair_sugar, rep)
     return entries
 
 
@@ -421,13 +541,14 @@ def buchberger_reduced(gens, sigma):
     Returns the empty basis for the zero ideal and [1] for the unit ideal.
     """
     gens = list(gens)
-    entries = buchberger(gens, sigma)
+    codes = _codes(sigma, gens)
+    entries = buchberger(gens, codes)
     if not entries:
         return ReducedGB(sigma, [])
     # the minimal basis, as reducers in increasing leading-term order
     minimal = []
-    for r in sorted(entries, key=lambda e: sigma.key(e[0])):
-        if not any(pp_divides(m[0], r[0]) for m in minimal):
+    for r in sorted(entries, key=itemgetter(0)):
+        if not any(codes.divides(m[0], r[0]) for m in minimal):
             minimal.append(r)
     # Each element's tail, over its leading coefficient, is reduced against
     # all of them: its own leading term divides none of the (smaller) terms
@@ -436,11 +557,11 @@ def buchberger_reduced(gens, sigma):
     p = ring.domain.characteristic
     reduced = []
     for lt, lc, tail, _ in minimal:
-        work = _Work(dict(tail), sigma.key, p, lc)
+        work = _Work(dict(tail), codes, p, lc)
         r = _reduce(work, minimal)
         # r and its scale have no common factor, so this entry is primitive
         reduced.append((lt, work.scale, list(r.items()), len(reduced)))
-    return _basis(ring, sigma, reduced)
+    return _basis(ring, sigma, reduced, codes)
 
 
 def is_zero_dimensional(G):
@@ -459,49 +580,57 @@ def fglm(G, tau):
     against the echelon rows of those visited before it.  Each row carries
     its combination of their monomials, so when a normal form eliminates to
     zero, its combination gives the element m - sum c_j m_j.  Only the normal
-    forms spend budget steps, the elimination none.
+    forms spend budget steps, the elimination none.  The walk and the
+    combinations hold tau-codes, the normal forms sigma-codes, both of one
+    width.
 
     There are two bodies of the step, chosen by the characteristic:
     _fraction_free_rows over QQ, and _packed_rows over F_p, whose vectors
     are ints with slots wide enough that none carries before its reduction
-    mod p.
+    mod p.  Each takes G and its sigma-codes.
     """
     ring = G[0].ring
     p = ring.domain.characteristic
-    visit = (_packed_rows if p else _fraction_free_rows)(G)
-    one = (0,) * ring.n
+    width = _width(G, G.ordering, tau)
+    visit = (_packed_rows if p else _fraction_free_rows)(G, _Codes(G.ordering, width))
+    codes = _Codes(tau, width)
+    guard = codes.guard
     entries, lts, rows = [], [], 0
-    heap, seen = [(tau.key(one), one, None, 0)], {one}
+    heap, seen = [(0, None, 0)], {0}  # the monomial 1 has code 0
     while heap:
-        _, m, parent, i = heapq.heappop(heap)
-        if any(all(map(le, lt, m)) for lt in lts):
+        m, parent, i = heapq.heappop(heap)
+        mg = m | guard
+        if any(mg - lt & guard == guard for lt in lts):
             continue
         comb = visit(m, parent, i)
         if comb is not None:
             lts.append(m)
             entries.append(_entry(comb, m, len(entries), p))
             continue
-        for j in range(ring.n):
-            u = m[:j] + (m[j] + 1,) + m[j + 1 :]
+        for j, unit in enumerate(codes.units):
+            u = m + unit
             if u not in seen:
+                if u & guard:
+                    raise codes.overflow()
                 seen.add(u)
-                heapq.heappush(heap, (tau.key(u), u, rows, j))
+                heapq.heappush(heap, (u, rows, j))
         rows += 1
-    return _basis(ring, tau, entries)
+    return _basis(ring, tau, entries, codes)
 
 
-def _fraction_free_rows(G):
+def _fraction_free_rows(G, codes):
     """fglm's step over QQ: visit(m, parent, i) returns m's combination when
     its normal form eliminates to zero, else keeps it as a new row.
 
-    A normal form is kept as the engine holds it, terms with one scale, and
-    NF(x_i * m) is that of m, shifted by x_i and reduced again.  A row with
-    pivot coefficient a eliminates the entry f of a vector by multiplying the
+    A normal form is kept as the engine holds it, sigma-coded terms with one
+    scale, and NF(x_i * m) is that of m, shifted by x_i and reduced again;
+    the combinations are keyed by the walk's tau-codes.  A row with pivot
+    coefficient a eliminates the entry f of a vector by multiplying the
     vector and its combination by a / gcd(a, f) and subtracting
     f / gcd(a, f) times the row; a new row is made primitive.
     """
-    sigma, reducers = G.ordering, G.entries
-    heads = G.leading_terms()
+    reducers = [codes.entry(e) for e in G.entries]
+    heads, guard, units = [e[0] for e in reducers], codes.guard, codes.units
     rows = []  # (pivot, pivot coefficient, echelon row, combination, normal form, its scale)
 
     def subtract(v, f, w):
@@ -521,12 +650,15 @@ def _fraction_free_rows(G):
 
     def visit(m, parent, i):
         if parent is None:
-            nf, s = {m: 1}, 1
+            nf, s = {0: 1}, 1  # the monomial 1, code 0
         else:
+            # a standard monomial of G stays below G's pure powers, so the
+            # shift by x_i cannot overflow
             nf, s = rows[parent][4:]
-            nf = {t[:i] + (t[i] + 1,) + t[i + 1 :]: c for t, c in nf.items()}
-        if any(all(map(le, lt, t)) for t in nf for lt in heads):
-            work = _Work(nf, sigma.key, 0, s)
+            x = units[i]
+            nf = {t + x: c for t, c in nf.items()}
+        if any((t | guard) - lt & guard == guard for t in nf for lt in heads):
+            work = _Work(nf, codes, 0, s)
             nf, s = _reduce(work, reducers), work.scale
         # v = sum comb[m_j] * NF(m_j): v is the normal form times its scale
         v, comb = dict(nf), {m: s}
@@ -547,7 +679,7 @@ def _fraction_free_rows(G):
     return visit
 
 
-def _packed_rows(G):
+def _packed_rows(G, codes):
     """fglm's step over F_p, on vectors packed into ints: visit(m, parent, i)
     returns m's combination when its normal form eliminates to zero, else
     keeps it as a new row.
@@ -565,13 +697,15 @@ def _packed_rows(G):
     pivot entry, and eliminating an entry costs one multiply-add on the
     vector and one on its combination.
     """
-    sigma, ring, reducers = G.ordering, G[0].ring, G.entries
+    ring = G[0].ring
     p = ring.domain.characteristic
+    reducers = [codes.entry(e) for e in G.entries]
+    units = codes.units
     tails = {e[0]: e[2] for e in reducers}
-    box = prod(max(t) for t in tails if max(t) == sum(t))
+    box = prod(max(t) for t in G.leading_terms() if max(t) == sum(t))
     B = (2 * p.bit_length() + (2 * box + 2).bit_length() + 7) // 8  # bytes per slot
     W, mask = 8 * B, (1 << 8 * B) - 1
-    slot, cols = {}, [{} for _ in range(ring.n)]  # standard monomial -> its slot
+    slot, cols = {}, [{} for _ in range(ring.n)]  # standard monomial's code -> its slot
     rows, ms = [], []  # (NF terms, pivot offset, its inverse, row, combination); monomials
 
     def pack(terms):
@@ -586,17 +720,17 @@ def _packed_rows(G):
         return [(v >> k & mask) % p for k in range(0, size * W, W)]
 
     def column(i, t):
-        u = t[:i] + (t[i] + 1,) + t[i + 1 :]
+        u = t + units[i]
         if u in tails:
             x = pack((s, p - a) for s, a in tails[u])
         else:  # a standard u is its own normal form, with no step spent
-            x = pack(_reduce(_Work({u: 1}, sigma.key, p), reducers).items())
+            x = pack(_reduce(_Work({u: 1}, codes, p), reducers).items())
         cols[i][t] = x
         return x
 
     def visit(m, parent, i):
         if parent is None:
-            v = pack([(m, 1)])
+            v = pack([(0, 1)])  # the monomial 1, code 0
         else:
             v, col = 0, cols[i]
             for t, c in rows[parent][0]:
@@ -648,8 +782,10 @@ def min_lt(G):
 def s_polynomial(f, g, sigma):
     """S-polynomial of f and g (field coefficients)."""
     p = f.ring.domain.characteristic
-    work = _s_work(_reducer(f, 0, sigma), _reducer(g, 0, sigma), sigma.key, p)
-    return _polynomial(f.ring, work.terms, work.scale)
+    codes = _codes(sigma, [f, g])
+    ra, rb = _coded(f, 0, codes), _coded(g, 0, codes)
+    work = _s_work(ra, rb, codes.lcm(ra[0], rb[0]), codes, p)
+    return _polynomial(f.ring, codes.decode_terms(work.terms), work.scale)
 
 
 def is_groebner(basis, sigma):
@@ -658,17 +794,19 @@ def is_groebner(basis, sigma):
     reduce to zero."""
     if not isinstance(basis, ReducedGB):
         basis = [g for g in basis if not g.is_zero()]
-    entries = _reducers(basis, sigma)
-    lts, pairs = [], set()
+    codes = _codes(sigma, basis)
+    entries = _reducers(basis, sigma, codes)
+    lts, exps, pairs = [], [], {}
     for j, e in enumerate(entries):
         lts.append(e[0])
-        pairs.update(_gm_update(lts, pairs, j, sigma))
+        exps.append(codes.decode(e[0]))
+        pairs.update(_gm_update(lts, exps, pairs, j, codes))
     if not pairs:
         return True
     p = basis[0].ring.domain.characteristic
     return not any(
-        _reduce(_s_work(entries[a], entries[b], sigma.key, p), entries, full=False)
-        for a, b in pairs
+        _reduce(_s_work(entries[a], entries[b], l, codes, p), entries, full=False)
+        for (a, b), l in pairs.items()
     )
 
 
@@ -682,14 +820,15 @@ def represent(G, F, sigma):
     Each column is a list of polynomials, one per element of F.  Raises
     ValueError when some element of G is not in the ideal generated by F.
     """
-    F = list(F)
+    F, G = list(F), list(G)
+    codes = _codes(sigma, F + G)
     reps = []
-    reducers = sorted(buchberger(F, sigma, reps=reps), key=lambda e: sigma.key(e[0]))
+    reducers = sorted(buchberger(F, codes, reps=reps), key=itemgetter(0))
     zeros = [f.ring.zero() for f in F]
     columns = []
     for g in G:
         terms, scale = _integral(g)
-        work = _Work(terms, sigma.key, g.ring.domain.characteristic, scale)
+        work = _Work(codes.encode_terms(terms), codes, g.ring.domain.characteristic, scale)
         r, rep = _divide(work, reducers, zeros, reps)
         if r:
             raise ValueError("element is not in the ideal generated by F")

@@ -37,10 +37,12 @@ tail_k*f_i - tail_i*f_k, a standard representation.  Gebauer and Moeller's
 proof that B, M and F keep a generating set uses only these two facts and
 the lattice of lcms, so it holds as written.
 
-Reduction runs in place on gb_field's heap-ordered work polynomial.  The
-head is reduced by exact (strong) steps; every other term by a Euclidean
-step, which leaves its coefficient a symmetric remainder modulo the smallest
-applicable leading coefficient and so keeps the integers small.
+Reduction runs in place on gb_field's heap-ordered work polynomial, over
+the sigma-codes of gb_field: strong_gb encodes its generators on entry and
+decodes the basis on exit.  The head is reduced by exact (strong) steps;
+every other term by a Euclidean step, which leaves its coefficient a
+symmetric remainder modulo the smallest applicable leading coefficient and
+so keeps the integers small.
 
 Only the set of leading monomials and the lcm of the leading coefficients are
 canonical; the full basis is normalized deterministically but not unique.
@@ -48,12 +50,11 @@ canonical; the full basis is normalized deterministically but not unique.
 
 import heapq
 import math
-from operator import le, sub
 
 from .arith import _ext_gcd
 from .arith import lcm as int_lcm
-from .gb_field import _ACTIVE, _Basis, _Work
-from .poly import Polynomial, ZZ, leading, pp_div, pp_divides, pp_lcm, pp_mul
+from .gb_field import _ACTIVE, _Basis, _codes, _Work
+from .poly import Polynomial, ZZ, leading
 
 
 class StrongGB(_Basis):
@@ -65,37 +66,35 @@ class StrongGB(_Basis):
         return [leading(g, self.ordering) for g in self.elements]
 
 
-def _lm_divides(lt1, lc1, lt2, lc2):
-    """Leading-monomial divisibility over ZZ: term divides and coefficient divides."""
-    return pp_divides(lt1, lt2) and lc2 % lc1 == 0
-
-
 def _strong_head_reduce(work, basis):
     """Reduce the head of a _Work in place while some basis entry (g, lt, lc)
     has lt | t and lc | c, taking the first such entry; each step is spent
-    from the active budget.
+    from the active budget.  g is the list of the entry's encoded terms, and
+    lt the code of its leading term.
 
     Returns the irreducible head term, left in work.terms but off the heap,
     or None when the work reduced to zero.
     """
     terms, heap = work.terms, work.heap
+    guard = work.codes.guard
     steps = _ACTIVE.get()
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = -heapq.heappop(heap)
         c = terms.get(t)
         if c is None:
             continue
+        tg = t | guard
         for g, lt, lc in basis:
-            if all(map(le, lt, t)) and c % lc == 0:
+            if tg - lt & guard == guard and c % lc == 0:
                 break
         else:
-            while heap and heap[0][1] == t:  # duplicates of the head
+            while heap and heap[0] == -t:  # duplicates of the head
                 heapq.heappop(heap)
             return t
         if steps is not None:
             steps.spend()
         # subtracting the whole of g, leading term included, cancels t
-        work.sub(c // lc, tuple(map(sub, t, lt)), g.terms.items())
+        work.sub(c // lc, t - lt, g)
     return None
 
 
@@ -108,15 +107,17 @@ def _tail_reduce(work, basis):
     Returns the term dict.
     """
     terms, heap = work.terms, work.heap
+    guard = work.codes.guard
     steps = _ACTIVE.get()
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = -heapq.heappop(heap)
         c = terms.get(t)
         if c is None:
             continue
+        tg = t | guard
         best = None
         for e in basis:
-            if (best is None or e[2] < best[2]) and all(map(le, e[1], t)):
+            if (best is None or e[2] < best[2]) and tg - e[1] & guard == guard:
                 best = e
         if best is None:
             continue
@@ -127,7 +128,7 @@ def _tail_reduce(work, basis):
         if r != c:
             if steps is not None:
                 steps.spend()
-            work.sub((c - r) // lc, tuple(map(sub, t, lt)), g.terms.items())
+            work.sub((c - r) // lc, t - lt, g)
     return terms
 
 
@@ -142,9 +143,10 @@ def strong_gb(gens, sigma):
     if not todo:
         return StrongGB(sigma, [])
     ring = todo[0].ring
-    key = sigma.key
-    basis = []  # entries (poly, lt, lc) with lc > 0
-    heap = []  # (key of pp-lcm, kind, i, j); kind 0 = S-pair, 1 = GCD-pair
+    codes = _codes(sigma, todo)
+    guard, lcm = codes.guard, codes.lcm
+    basis = []  # entries (encoded terms, lt, lc) with lc > 0
+    heap = []  # (pp-lcm, kind, i, j); kind 0 = S-pair, 1 = GCD-pair
     queued = {}  # the S-pairs still on the heap: (i, j) -> their lcm (l, c)
 
     def append(work, lt):
@@ -154,37 +156,37 @@ def strong_gb(gens, sigma):
         lc = terms[lt]
         k = len(basis)
         # the lcm of each new S-pair (i, k), and the pairs of each lcm
-        lcms = [(pp_lcm(lti, lt), math.lcm(lci, lc)) for _, lti, lci in basis]
+        lcms = [(lcm(lti, lt), math.lcm(lci, lc)) for _, lti, lci in basis]
         groups = {}
         for i, m in enumerate(lcms):
             groups.setdefault(m, []).append(i)
         for (i, j), (l, c) in list(queued.items()):  # criterion B
-            if c % lc == 0 and all(map(le, lt, l)) and lcms[i] != (l, c) != lcms[j]:
+            if c % lc == 0 and (l | guard) - lt & guard == guard and lcms[i] != (l, c) != lcms[j]:
                 del queued[i, j]
         for (l, c), pairs in groups.items():
+            lg = l | guard
             if any(  # criterion M: another new lcm properly divides this one
-                c % c2 == 0 and all(map(le, l2, l)) and (l2, c2) != (l, c)
+                c % c2 == 0 and lg - l2 & guard == guard and (l2, c2) != (l, c)
                 for l2, c2 in groups
             ) or any(  # criterion F: the product criterion holds for one pair
-                l == pp_mul(basis[i][1], lt) and c == basis[i][2] * lc for i in pairs
+                l == basis[i][1] + lt and c == basis[i][2] * lc for i in pairs
             ):
                 continue
-            heapq.heappush(heap, (key(l), 0, pairs[0], k))
+            heapq.heappush(heap, (l, 0, pairs[0], k))
             queued[pairs[0], k] = (l, c)
         for i, (_, lti, lci) in enumerate(basis):
             d = math.gcd(lci, lc)
             if d != lci and d != lc:
-                heapq.heappush(heap, (key(lcms[i][0]), 1, i, k))
-        basis.append((Polynomial._raw(ring, terms), lt, lc))
+                heapq.heappush(heap, (lcms[i][0], 1, i, k))
+        basis.append((list(terms.items()), lt, lc))
 
     for g in todo:
-        work = _Work(dict(g.terms), key, 0)
-        append(work, heapq.heappop(work.heap)[1])
+        work = _Work(codes.encode_terms(g.terms), codes, 0)
+        append(work, -heapq.heappop(work.heap))
     while heap:
-        _, kind, i, j = heapq.heappop(heap)
+        l, kind, i, j = heapq.heappop(heap)
         f, lti, lci = basis[i]
         g, ltj, lcj = basis[j]
-        l = pp_lcm(lti, ltj)
         if kind == 0:
             if (i, j) not in queued:  # pruned by criterion B
                 continue
@@ -192,32 +194,32 @@ def strong_gb(gens, sigma):
             a, b = c // lci, c // lcj  # a*f - b*g
         else:
             d, a, b = _ext_gcd(lci, lcj)
-            if any(d % lck == 0 and all(map(le, ltk, l)) for _, ltk, lck in basis):
+            lg = l | guard
+            if any(d % lck == 0 and lg - ltk & guard == guard for _, ltk, lck in basis):
                 continue
             b = -b  # a*f + b*g
-        sh = pp_div(l, lti)
-        work = _Work({pp_mul(t, sh): a * v for t, v in f.terms.items()}, key, 0)
-        work.sub(b, pp_div(l, ltj), g.terms.items())
+        work = _Work({}, codes, 0)
+        work.sub(-a, l - lti, f)
+        work.sub(b, l - ltj, g)
         head = _strong_head_reduce(work, basis)
         if head is not None:
             append(work, head)
-    return StrongGB(sigma, _normalize_output(basis, sigma))
+    return StrongGB(sigma, _normalize_output(basis, ring, codes))
 
 
-def _normalize_output(basis, sigma):
-    """Minimalize by leading-monomial divisibility, then tail-reduce."""
-    key = sigma.key
+def _normalize_output(basis, ring, codes):
+    """Minimalize by leading-monomial divisibility, then tail-reduce and decode."""
     minimal = []
-    for g, lt, lc in sorted(basis, key=lambda e: (key(e[1]), e[2])):
-        if not any(_lm_divides(klt, klc, lt, lc) for _, klt, klc in minimal):
+    for g, lt, lc in sorted(basis, key=lambda e: (e[1], e[2])):
+        if not any(lc % klc == 0 and codes.divides(klt, lt) for _, klt, klc in minimal):
             minimal.append((g, lt, lc))
     out = []
     # an element's own leading term divides none of its tail terms, so each
     # is tail-reduced against the whole minimal set
     for g, _, _ in minimal:
-        work = _Work(dict(g.terms), key, 0)
+        work = _Work(dict(g), codes, 0)
         heapq.heappop(work.heap)
-        out.append(Polynomial._raw(g.ring, _tail_reduce(work, minimal)))
+        out.append(Polynomial._raw(ring, codes.decode_terms(_tail_reduce(work, minimal))))
     return out
 
 

@@ -7,6 +7,20 @@ flat tuple of Python ints, so negating it entrywise reverses the ordering.
 Matrix orderings keep their exact rational rows for display and identity, but
 compute keys from copies scaled to integers: each row is multiplied by the
 positive lcm of its denominators, which leaves the ordering unchanged.
+
+Every ordering also has ``weight_rows()``: non-negative integer rows R such
+that sigma compares power products by the weights R.e, row by row, and then
+by their exponents as lex does.  The reduction engines pack these weights
+and the exponents into one int per power product (gb_field's sigma-codes).
+
+- lex: no rows;
+- deglex: the degree, one row of ones;
+- degrevlex: the prefix sums s_k = e_1 + ... + e_k for k = n, ..., 1;
+  when s_n, ..., s_(k+1) agree, a larger s_k means a smaller e_(k+1);
+- matrix and elimination orderings: their integer rows, each with multiples
+  of earlier rows added until no entry is negative.  Where two power
+  products have equal weights under the earlier rows, adding a multiple of
+  one of them to a later row leaves the comparison unchanged.
 """
 
 import math
@@ -23,6 +37,10 @@ class TermOrdering:
         self.n = n
 
     def key(self, pp):
+        raise NotImplementedError
+
+    def weight_rows(self):
+        """Non-negative integer rows whose weights, then lex, order as sigma."""
         raise NotImplementedError
 
     def greater(self, t, s):
@@ -57,6 +75,9 @@ class Lex(TermOrdering):
     def key(self, pp):
         return pp
 
+    def weight_rows(self):
+        return ()
+
     def canonical(self):
         return ("lex", self.n)
 
@@ -66,6 +87,9 @@ class DegLex(TermOrdering):
 
     def key(self, pp):
         return (sum(pp),) + pp
+
+    def weight_rows(self):
+        return ((1,) * self.n,)
 
     def canonical(self):
         return ("deglex", self.n)
@@ -78,6 +102,10 @@ class DegRevLex(TermOrdering):
         # degree first; ties broken so that the *last* nonzero entry of the
         # exponent difference being negative means "greater".
         return (sum(pp), *map(neg, reversed(pp)))
+
+    def weight_rows(self):
+        n = self.n
+        return tuple((1,) * k + (0,) * (n - k) for k in range(n, 0, -1))
 
     def canonical(self):
         return ("degrevlex", self.n)
@@ -102,8 +130,8 @@ class MatrixOrder(TermOrdering):
             raise ValueError("matrix ordering rows must all have length %d" % n)
         self.rows = rows
         self._int_rows = tuple(_integer_row(row) for row in rows)
-        self._key_cache = {}
         self._validate()
+        self._weights = _nonnegative_rows(self._int_rows)
 
     def _validate(self):
         # the integer rows are positive multiples of the rows: same signs, same rank
@@ -114,10 +142,10 @@ class MatrixOrder(TermOrdering):
             raise ValueError("ordering matrix is rank deficient")
 
     def key(self, pp):
-        k = self._key_cache.get(pp)
-        if k is None:
-            k = self._key_cache[pp] = tuple([sum(map(mul, row, pp)) for row in self._int_rows])
-        return k
+        return tuple([sum(map(mul, row, pp)) for row in self._int_rows])
+
+    def weight_rows(self):
+        return self._weights
 
     def canonical(self):
         return ("matrix", self.n, self.rows)
@@ -127,6 +155,23 @@ def _integer_row(row):
     """The row scaled by the positive lcm of its denominators."""
     d = math.lcm(*(w.denominator for w in row))
     return tuple(w.numerator * (d // w.denominator) for w in row)
+
+
+def _nonnegative_rows(rows):
+    """The integer rows with multiples of earlier rows added until no entry
+    is negative.  A valid ordering gives each column a positive first nonzero
+    entry, so a negative entry always has an earlier row, already made
+    non-negative, with a positive entry in its column."""
+    out = []
+    for row in rows:
+        row = list(row)
+        for j in range(len(row)):
+            if row[j] < 0:
+                earlier = next(r for r in out if r[j] > 0)
+                m = -(row[j] // earlier[j])
+                row = [a + m * b for a, b in zip(row, earlier)]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _rank(rows):

@@ -174,22 +174,8 @@ def pp_mul(t, s):
     return tuple(map(add, t, s))
 
 
-def pp_div(t, s):
-    """t / s, or None when s does not divide t."""
-    q = []
-    for a, b in zip(t, s):
-        if a < b:
-            return None
-        q.append(a - b)
-    return tuple(q)
-
-
 def pp_divides(s, t):
     return all(map(le, s, t))
-
-
-def pp_lcm(t, s):
-    return tuple(map(max, t, s))
 
 
 class Polynomial:

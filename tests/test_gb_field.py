@@ -40,8 +40,10 @@ from modgb import (
 )
 from modgb import fan
 from modgb import gb_field
-from modgb.gb_field import budget, is_zero_dimensional
+from modgb.fan import _flip_ordering
+from modgb.gb_field import _codes, _Codes, _Work, budget, is_zero_dimensional
 from modgb.orderings import deglex, degrevlex, elim, lex, matrix_order
+from modgb.poly import pp_divides, pp_mul, pp_str
 from modgb.primes import reduction
 
 
@@ -336,6 +338,38 @@ def test_reduction_steps_graph_ideal_elim_from_degrevlex():
     assert _steps(seed.elements, tau) == 2389
 
 
+# The four conversions detect_tau_bad makes on the graph ideal: each F_p
+# reduction of its elim(x,y,z,w) basis, taken to elim(s,t).  Per prime: the
+# reduction steps and the leading terms in element order.
+_DETECT_ELIM = {
+    2: (218, ["y^2", "z^5", "y*z^4", "y*t", "y*s", "x*t", "x*s", "z^3*t", "z^3*s",
+              "t^2", "z*s*t", "z*s^2", "s^2*t", "s^3"]),
+    3: (2210, ["z^5", "y*z^4", "y^2*z^3", "y^3*z^2", "x*y^2*z^2", "y^4*z", "x*y^3*z",
+               "y^5", "x*y^4", "y^4*w^2", "x*z^3*w^3", "x*z^4*w^2", "x*y*z^3*w^2",
+               "x^2*z^3*w^2", "x^2*z^4*w", "x^2*y*z^3*w", "x^3*z^3*w", "z*s", "y*s",
+               "x*s", "z^2*t", "y*z*t", "x*z*t", "y^2*t", "x*y*t", "x^2*t", "w^3*t",
+               "w^3*s", "z*w^2*t", "y*w^2*t", "x*w^2*t", "t^2", "s*t", "s^2"]),
+    5: (2442, ["z^5", "y*z^4", "y^2*z^3", "y^3*z^2", "x*y^2*z^2", "y^4*z", "x*y^3*z",
+               "y^5", "x*y^4", "y^4*w^2", "y^2*z^2*w^3", "x*z^4*w^2", "x*y*z^3*w^2",
+               "x^2*z^3*w^2", "x^2*z^4*w", "x^2*y*z^3*w", "x^3*z^3*w", "z*s", "y*s",
+               "x*s", "z^2*t", "y*z*t", "x*z*t", "y^2*t", "x*y*t", "x^2*t", "w^3*t",
+               "w^3*s", "z*w^2*t", "y*w^2*t", "x*w^2*t", "t^2", "s*t", "s^2"]),
+    7: (267, ["z^3", "y^2*z^2", "y^3*z", "y^4", "z*s", "y*s", "x*s", "w^2*t", "w^2*s",
+              "z*w*t", "z^2*t", "y*z*t", "y^2*t", "w*t^2", "w*s*t", "w*s^2", "t^3",
+              "s*t^2", "s^2*t", "s^3"]),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_DETECT_ELIM))
+def test_reduction_steps_detect_elim(p):
+    R, J, sigma, tau = graph_ideal_six_vars()
+    seed = reduction(J, sigma, p).reduced_gb(sigma)
+    with budget(_UNSPENT) as counter:
+        H = buchberger_reduced(seed.elements, tau)
+    lts = [pp_str(t, R.names) for t in H.leading_terms()]
+    assert (_UNSPENT - counter.left, lts) == _DETECT_ELIM[p]
+
+
 def test_reduction_steps_many_bad_primes_lex():
     R, I = many_bad_primes_ideal()
     assert _steps(reduction(I, degrevlex(3), 1000003).gens, lex(3)) == 621
@@ -517,3 +551,55 @@ def test_rational_results_have_fraction_coefficients(make):
     results += [c for column in represent(G[:2], I.gens, s) for c in column]
     assert all(g for g in results[: len(G) + 3])
     assert all(type(c) is Fraction for g in results for c in g.terms.values())
+
+
+# Sigma-codes: inside the engines a power product is one int (gb_field's
+# module docstring).  Matrix rows with negative and rational entries, as a
+# fan cone's ordering has, are made non-negative first.
+_CODE_ORDERS = {
+    "lex": lex(3),
+    "deglex": deglex(3),
+    "degrevlex": degrevlex(3),
+    "elim": elim([0, 2], 3),
+    "matrix": matrix_order([["1/2", "1/3", 2], [0, "-3/4", 1], [0, 0, 1]], 3),
+    "fan_cone": _flip_ordering([1, 2, 3], [1, -1, 0], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CODE_ORDERS))
+def test_codes_compare_multiply_and_divide_as_power_products(name):
+    sigma = _CODE_ORDERS[name]
+    rng = random.Random(29)
+    R = ring_qq("x", "y", "z")
+    pps = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(40)]
+    codes = _codes(sigma, [R.from_terms((t, 1) for t in pps)])
+    guard = codes.guard
+    for a in pps:
+        ca = codes.encode(a)
+        assert codes.decode(ca) == a
+        for b in pps:
+            cb = codes.encode(b)
+            assert (ca < cb) == (sigma.key(a) < sigma.key(b))
+            assert (ca == cb) == (a == b)
+            assert codes.encode(pp_mul(a, b)) == ca + cb
+            assert (((cb | guard) - ca) & guard == guard) == pp_divides(a, b)
+            assert codes.divides(ca, ca + cb)
+
+
+def test_codes_round_trip_a_67_bit_exponent():
+    R = ring_qq("x", "y", "z")
+    pp = (2**66 + 12345, 0, 7)
+    for sigma in _CODE_ORDERS.values():
+        codes = _codes(sigma, [R.from_terms([(pp, 1)])])
+        assert codes.decode(codes.encode(pp)) == pp
+
+
+def test_codes_raise_on_a_field_overflow():
+    codes = _Codes(lex(2), 4)  # four-bit fields
+    assert codes.decode(codes.encode((15, 3))) == (15, 3)
+    with pytest.raises(OverflowError, match="4-bit fields"):
+        codes.encode((16, 0))
+    x15 = codes.encode((15, 0))
+    work = _Work({x15: 1}, codes, 0)
+    with pytest.raises(OverflowError, match="4-bit fields"):
+        work.sub(1, codes.encode((1, 0)), [(x15, 1)])

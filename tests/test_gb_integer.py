@@ -17,10 +17,16 @@ from modgb import (
     strong_gb,
 )
 from modgb import gb_integer
-from modgb.gb_field import BudgetExceeded, _Work, budget
-from modgb.gb_integer import _lm_divides, _strong_head_reduce
+from modgb.gb_field import BudgetExceeded, _codes, _Work, budget
+from modgb.gb_integer import _strong_head_reduce
 from modgb.orderings import degrevlex, lex
 from modgb.poly import leading as lead
+from modgb.poly import pp_divides
+
+
+def _lm_divides(lt1, lc1, lt2, lc2):
+    """Leading-monomial divisibility over ZZ: term divides and coefficient divides."""
+    return pp_divides(lt1, lt2) and lc2 % lc1 == 0
 
 
 def test_monomial_pair():
@@ -73,13 +79,18 @@ def test_strong_reduction_of_members():
         s = degrevlex(ring.n)
         gens = [prim(g, s) for g in I.gens]
         B = strong_gb(gens, s)
-        entries = [(g, *lead(g, s)) for g in B]
         zring = B[0].ring
         acc = zring.zero()
         for g in gens:
             m = rand_multiplier(rng, zring)
             acc = acc + g * m
-        assert _strong_head_reduce(_Work(dict(acc.terms), s.key, 0), entries) is None
+        # the head reduction runs on sigma-codes, as inside strong_gb
+        codes = _codes(s, [acc, *B])
+        entries = []
+        for g in B:
+            lt, lc = lead(g, s)
+            entries.append((list(codes.encode_terms(g.terms).items()), codes.encode(lt), lc))
+        assert _strong_head_reduce(_Work(codes.encode_terms(acc.terms), codes, 0), entries) is None
 
 
 def rand_multiplier(rng, ring):
