@@ -8,11 +8,14 @@ its closed cone in the positive orthant, found by one double-description
 run over ZZ: a facet with primitive normal v gets as its point w the sum
 of the rays on it, which lies in its relative interior.  The cone's basis
 is converted to the matrix ordering [w; -v; degrevlex rows] by
-gb_field._convert (FGLM when I is zero-dimensional), once per edge.
+gb_field._convert (FGLM when I is zero-dimensional) only when no known cone
+contains w: the cone across a facet is looked up among the cones found so
+far first, so there is one conversion per new cone, not one per edge.
 """
 
 import math
 from collections import deque
+from operator import mul
 
 from .gb_field import _ACTIVE, BudgetExceeded, _convert, budget, buchberger_reduced, min_lt, normal_form
 from .orderings import _degrevlex_rows, _rank, degrevlex, matrix_order
@@ -133,51 +136,72 @@ def cone_vectors(G):
 
 
 def enumerate_fan(I, max_cones=DEFAULT_MAX_CONES):
-    """The reduced bases of all cones of I, by facet flips from degrevlex, one per
-    edge.  It spends the active budget, or one of DEFAULT_BUDGET steps if none is."""
+    """The reduced bases of all cones of I, by facet flips from degrevlex.  It
+    spends the active budget, or one of DEFAULT_BUDGET steps if none is.
+
+    Before cone i is flipped across its facet F, with primitive normal v and
+    facet point w, the known cones k != i that have -v among their cone
+    vectors are tried: if u.w >= 0 for every cone vector u of k, then k is
+    the cone across F, and the edge is recorded without a conversion.  This
+    is sound because Groebner cones meet face to face (Mora-Robbiano 1988):
+    w lies in the relative interior of F and is strictly positive, so any
+    other cone whose closure contains w contains all of F and is the cone
+    across it.  That closure is {w >= 0 : u.w >= 0 for its cone vectors u};
+    F is not on the boundary of the orthant, so one of these inequalities
+    cuts out F, and as both vectors are primitive that one is exactly -v.
+    Only a facet whose point no known cone contains is flipped, so each new
+    cone costs one conversion and a known one none.
+    """
     if max_cones < 1:
         raise ValueError("max_cones must be at least 1, got %s" % max_cones)
     if not any(I.gens):
         raise ValueError("the zero ideal has no universal denominator")
     n = I.ring.n
-    sigma0 = degrevlex(n)
     cones = []
     adjacency = {}
     index = {}
-    flipped = set()
+    vectors = []  # the cone vectors of each cone
+    having = {}  # cone vector -> the cones that have it
+    queue = deque()
+
+    def add(G):
+        k = len(cones)
+        cones.append(G)
+        adjacency[k] = set()
+        index[min_lt(G)] = k
+        vectors.append(cone_vectors(G))
+        for u in vectors[k]:
+            having.setdefault(u, []).append(k)
+        queue.append(k)
+        return k
+
+    def known(i, v, w):
+        """The known cone other than i whose closure contains w, if any."""
+        for k in having.get(tuple(-x for x in v), ()):
+            if k != i and all(sum(map(mul, u, w)) >= 0 for u in vectors[k]):
+                return k
+        return None
 
     def partial(msg):
         return FanBudgetExceeded("%s (%d cones found)" % (msg, len(cones)), Fan(cones, adjacency))
 
     try:
         with _ACTIVE.get() or budget(DEFAULT_BUDGET):
-            seed = buchberger_reduced(I.gens, sigma0)
-            cones.append(seed)
-            adjacency[0] = set()
-            index[min_lt(seed)] = 0
-            queue = deque([0])
+            add(buchberger_reduced(I.gens, degrevlex(n)))
             while queue:
                 i = queue.popleft()
-                cone = cones[i]
-                for v, w in sorted(_facet_points(cone_vectors(cone), n).items()):
-                    if (i, v) in flipped:
-                        continue
-                    tau = _flip_ordering(w, v, n)
-                    nb = _convert(cone, tau)
-                    nb_key = min_lt(nb)
-                    k = index.get(nb_key)
+                for v, w in sorted(_facet_points(vectors[i], n).items()):
+                    k = known(i, v, w)
                     if k is None:
-                        if len(cones) >= max_cones:
-                            raise partial("cone budget of %d exhausted" % max_cones)
-                        k = len(cones)
-                        cones.append(nb)
-                        adjacency[k] = set()
-                        index[nb_key] = k
-                        queue.append(k)
+                        nb = _convert(cones[i], _flip_ordering(w, v, n))
+                        k = index.get(min_lt(nb))
+                        if k is None:
+                            if len(cones) >= max_cones:
+                                raise partial("cone budget of %d exhausted" % max_cones)
+                            k = add(nb)
                     if k != i:
                         adjacency[i].add(k)
                         adjacency[k].add(i)
-                        flipped.add((k, tuple(-x for x in v)))
     except BudgetExceeded as e:
         raise partial(str(e)) from None
     return Fan(cones, adjacency)

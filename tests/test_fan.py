@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import modgb
-from conftest import ring_qq, timed, twelve_cone_ideal
+from conftest import rand_ideal, ring_qq, timed, twelve_cone_ideal
 from modgb import (
     FanBudgetExceeded,
     GF,
@@ -26,7 +26,8 @@ from modgb import (
     universal_denominator,
 )
 from modgb import fan as fan_module
-from modgb.fan import _facet_points, cone_vectors
+from modgb.fan import _facet_points, _flip_ordering, cone_vectors
+from modgb.gb_field import _convert
 from modgb.orderings import degrevlex, matrix_order
 from modgb.poly import den_of_set
 
@@ -48,23 +49,46 @@ RAD_104 = (
 )
 
 # SHA-256 of each fan: every cone's sorted leading terms and its basis as a
-# set, in traversal order, then each cone's sorted neighbours, then Delta
+# set, in traversal order, then each cone's sorted neighbours, then Delta.
+# The input is a FAN_FAMILY parameter tuple or an input text; rand#s is
+# rand_ideal(random.Random(s), maxdeg=4), a positive-dimensional ideal.
 PINNED_FANS = {
     "twelve_cone": ((2, 2, 1, 1), 12, "a45cfeefa018b481e0becee601e78f9a3353a2760c3b419a49147d6ee355a591"),
     "fan(2,2,3,4)": ((2, 2, 3, 4), 12, "16d50be386243563219fe899ed3a7fe9a3b1dc930b2f70fdd30b9996a5c65fdb"),
     "fan(3,2,2,5)": ((3, 2, 2, 5), 24, "a052681207e9bd46c587cad558abe9d1cd77c35d78f7c09814081ca6d3f6ec73"),
     "fan(2,3,5,3)": ((2, 3, 5, 3), 17, "5b3d69a9442e31a213493252bec390438360d89f7cd5e3dcbc2055a3ecea16be"),
     "fan(3,3,4,2)": ((3, 3, 4, 2), 34, "3bf2a446447c2ea6b2a9088502226f63df92d9e2da18d1e399302a39e4429956"),
-    "rad_104": (None, 88, "8030f5a6d23a87d5c782528d1a2266ebeecc01b4442ca95e40e54c9eb09c2339"),
+    "rad_104": (RAD_104, 88, "8030f5a6d23a87d5c782528d1a2266ebeecc01b4442ca95e40e54c9eb09c2339"),
+    "rand#211": (
+        "ring QQ[x,y,z] degrevlex;\n"
+        "ideal(2*y*z^3 - 9/2*y^2*z + 4*x*z^2, 3*x*y^2*z + 6*x*y^2 - 9*y^3);\n",
+        40,
+        "87a7834eb6c1ad91b706e5b068e2decc5b48743790fa37f7cb7d1bc9a28ddbeb",
+    ),
+    "rand#236": (
+        "ring QQ[x,y,z] degrevlex;\nideal(-8*y^3 - 7/3*x^2*z, -4*x^3*y + 2*x^2*z - 2*x);\n",
+        25,
+        "fa9b860dc36d0ebe2e737af79364489856421badadb5dd98bb15b2a5fbf20ec1",
+    ),
+    "rand#351": (
+        "ring QQ[x,y,z] degrevlex;\n"
+        "ideal(3*x^3*y + 4*x*y*z^2, 3/2*x^3*z + 8*z^4 + 8*x*z, 9*x^3*z - y^2*z^2 - 3*z^4);\n",
+        45,
+        "cdc1fcf10f4f309df5a948fa5419d9e9dfedef8fb5c2d20b6a685334b80e0179",
+    ),
 }
+
+
+def _pinned_ideal(name):
+    params = PINNED_FANS[name][0]
+    text = params if isinstance(params, str) else FAN_FAMILY.format(**dict(zip("abcd", params)))
+    return parse_input(text)[1][0]
 
 
 @pytest.mark.parametrize("name", PINNED_FANS)
 def test_fans_are_pinned(name):
-    params, cones, digest = PINNED_FANS[name]
-    text = RAD_104 if params is None else FAN_FAMILY.format(**dict(zip("abcd", params)))
-    _, ideals, _ = parse_input(text)
-    fan = enumerate_fan(ideals[0])
+    _, cones, digest = PINNED_FANS[name]
+    fan = enumerate_fan(_pinned_ideal(name))
     lines = []
     for cone in fan.cones:
         lines.append(str(sorted(min_lt(cone))))
@@ -73,6 +97,38 @@ def test_fans_are_pinned(name):
     lines.append(str(fan.denominator()))
     assert len(fan) == cones
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+# rand_ideal seeds whose fans have 3 to 55 cones; the first nine are
+# zero-dimensional, so their flips run FGLM, the rest Buchberger
+EDGE_CHECK_SEEDS = (13, 63, 96, 98, 219, 328, 362, 381, 389) + (
+    24, 30, 68, 105, 130, 155, 241, 268, 365, 383
+)
+
+
+def _edge_check_ideals():
+    for name in PINNED_FANS:
+        yield name, _pinned_ideal(name)
+    for seed in EDGE_CHECK_SEEDS:
+        yield "rand#%d" % seed, rand_ideal(random.Random(seed), maxdeg=4)[1]
+
+
+def test_every_edge_is_a_facet_flip():
+    # the traversal converts only into new cones and finds the others by
+    # lookup; flipping cone i across the facet it shares with each neighbour
+    # k must land in k, in both directions of every edge
+    for name, I in _edge_check_ideals():
+        fan = enumerate_fan(I)
+        n = I.ring.n
+        vectors = [cone_vectors(cone) for cone in fan.cones]
+        for i, nbrs in fan.adjacency.items():
+            points = _facet_points(vectors[i], n)
+            for k in nbrs:
+                shared = [v for v in points if tuple(-x for x in v) in vectors[k]]
+                assert len(shared) == 1, (name, i, k, shared)
+                v = shared[0]
+                flipped = _convert(fan.cones[i], _flip_ordering(points[v], v, n))
+                assert min_lt(flipped) == min_lt(fan.cones[k]), (name, i, k)
 
 
 def test_single_cone_for_monomial_ideal():
@@ -201,7 +257,7 @@ def test_fan_spends_an_active_budget_and_leaves_it_active():
     R, I = twelve_cone_ideal()
     with modgb.budget(10**6) as b:
         assert len(enumerate_fan(I)) == 12
-        assert b.left == 10**6 - 96
+        assert b.left == 10**6 - 55
         assert modgb.gb_field._ACTIVE.get() is b
 
 
@@ -240,7 +296,8 @@ def test_graph_fan_stops_at_the_reduction_budget_within_1gb():
     assert "reduction budget of 100000 exhausted" in proc.stdout
 
 
-def test_each_edge_is_flipped_once(monkeypatch):
+def test_each_new_cone_is_converted_once(monkeypatch):
+    # the 18 - 11 = 7 edges into a cone already found are looked up, not flipped
     flips = []
     convert = fan_module._convert
 
@@ -252,7 +309,8 @@ def test_each_edge_is_flipped_once(monkeypatch):
     R, I = twelve_cone_ideal()
     fan = enumerate_fan(I)
     edges = sum(len(nbrs) for nbrs in fan.adjacency.values()) // 2
-    assert len(flips) == edges == 18
+    assert edges == 18
+    assert len(flips) == len(fan) - 1 == 11
 
 
 def test_cone_budget_below_one_is_rejected_before_any_work(monkeypatch):

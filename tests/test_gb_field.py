@@ -386,7 +386,7 @@ def test_reduction_steps_fan(monkeypatch):
     monkeypatch.setattr(fan, "budget", Recording)
     R, I = twelve_cone_ideal()
     assert len(fan.enumerate_fan(I)) == 12
-    assert [fan.DEFAULT_BUDGET - c.left for c in made] == [96]
+    assert [fan.DEFAULT_BUDGET - c.left for c in made] == [55]
 
 
 # Instance #104 of the rad_identity property suite (random.Random(101)).  It
