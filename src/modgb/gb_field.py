@@ -39,7 +39,7 @@ public object, and the entries a ReducedGB keeps, hold exponent tuples.
 import heapq
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from .poly import QQ, Polynomial, den, leading
@@ -381,9 +381,9 @@ def _reduce(work, reducers, full=True, on_step=None):
 
 def normal_form(f, G, sigma):
     """Full normal form of f against the polynomials G, which must lie in f's
-    ring (deterministic reducer choice)."""
+    ring (deterministic reducer choice).  Zero polynomials in G are dropped."""
     if not isinstance(G, ReducedGB):
-        G = list(G)
+        G = [g for g in G if not g.is_zero()]
     if not G:
         return f
     if any(g.ring != f.ring for g in G):
@@ -433,35 +433,47 @@ def _s_work(ra, rb, l, codes, p):
     return work
 
 
-def _gm_update(lts, exps, pairs, j, codes):
-    """Gebauer-Moeller pair update when basis element j is appended, on
-    the codes lts of the leading terms and their exponent tuples exps.
+def _gm_update(lms, exps, pairs, j, codes):
+    """Gebauer and Moeller's pair update ("On an installation of
+    Buchberger's algorithm", JSC 1988) when basis element j is appended.
 
-    pairs maps each queued pair to the code of its lcm.  Drops from it, in
-    place, the pairs that j makes redundant, and returns the new pairs
-    (i, j) that the product and chain criteria leave, each with its lcm.
+    lms are the leading monomials (code, c) of the basis elements, c > 0,
+    and exps the exponent tuples of their terms.  Over a field every c is
+    1, a unit; over ZZ (gb_integer) c is the leading coefficient.  The lcm
+    of two leading monomials is (code of the lcm of their terms, lcm of
+    their c), and one divides another when its term and its c both do.
+    With L_ij the lcm of lm_i and lm_j:
+
+    - B: a queued pair (a, b) is dropped when lm_j divides L_ab and L_ab
+      differs from both L_aj and L_bj;
+    - M: a new pair (i, j) is dropped when another new pair's lcm properly
+      divides L_ij;
+    - F: of the new pairs left with one lcm, the one of least i is kept,
+      and none when one of them meets the product criterion (coprime terms
+      and coprime c, so that L_ij = lm_i * lm_j).
+
+    pairs maps each queued pair to its lcm; B drops from it in place.  The
+    new pairs (i, j) that M and F keep are returned with their lcms, in
+    increasing order, which puts every divisor of an lcm before it: so M
+    checks only the lcms kept so far.
     """
-    ltj, ej, guard, encode = lts[j], exps[j], codes.guard, codes.encode
-    lcms = [encode(map(max, e, ej)) for e in exps[:j]]
-    dropped = [
-        (a, b)
-        for (a, b), l in pairs.items()
-        if (l | guard) - ltj & guard == guard and l != lcms[a] and l != lcms[b]
-    ]
-    for ab in dropped:
-        del pairs[ab]
+    (ltj, cj), ej, guard, encode = lms[j], exps[j], codes.guard, codes.encode
+    lcms = [(encode(map(max, e, ej)), lcm(c, cj)) for (_, c), e in zip(lms, exps[:j])]
+    for (a, b), m in list(pairs.items()):  # B
+        if m[1] % cj == 0 and (m[0] | guard) - ltj & guard == guard and lcms[a] != m != lcms[b]:
+            del pairs[a, b]
     by_lcm = {}
-    for i, l in enumerate(lcms):
-        by_lcm.setdefault(l, []).append(i)
+    for i, m in enumerate(lcms):
+        by_lcm.setdefault(m, []).append(i)
     minimal = []
-    for l in sorted(by_lcm):
+    for l, c in sorted(by_lcm):  # M
         lg = l | guard
-        if all(lg - m & guard != guard for m in minimal):
-            minimal.append(l)
-    return [
-        ((min(by_lcm[l]), j), l)
-        for l in minimal
-        if not any(l == lts[i] + ltj for i in by_lcm[l])
+        if all(c % c2 or lg - l2 & guard != guard for l2, c2 in minimal):
+            minimal.append((l, c))
+    return [  # F
+        ((by_lcm[m][0], j), m)
+        for m in minimal
+        if not any(m == (lms[i][0] + ltj, lms[i][1] * cj) for i in by_lcm[m])
     ]
 
 
@@ -487,23 +499,24 @@ def buchberger(gens, codes, reps=None):
     ring = live[0].ring
     dom, p = ring.domain, ring.domain.characteristic
     entries = []
-    lts = []
+    lms = []  # the leading monomials (code, 1) of _gm_update
     exps = []
     sugar = []
-    pairs = {}  # the queued pairs: (a, b) -> the code of their lcm
+    pairs = {}  # the queued pairs: (a, b) -> their lcm (code, 1)
     heap = []
 
     def append(terms, lt, scale, f_sugar, rep):
         """Append the polynomial terms / scale, whose coefficients in gens are rep."""
         entries.append(_entry(terms, lt, len(entries), p))
-        lts.append(lt)
+        lms.append((lt, 1))
         exps.append(codes.decode(lt))
         sugar.append(f_sugar)
         if reps is not None:
             inv = dom.invert(dom.coerce(Fraction(terms[lt], scale)))
             reps.append([x.scale(inv) for x in rep])
-        for (a, b), l in _gm_update(lts, exps, pairs, len(entries) - 1, codes):
-            pairs[a, b] = l
+        for (a, b), m in _gm_update(lms, exps, pairs, len(entries) - 1, codes):
+            pairs[a, b] = m
+            l = m[0]
             pair_sugar = max(sugar[a] - sum(exps[a]), sugar[b] - sum(exps[b]))
             pair_sugar += sum(codes.decode(l))
             heapq.heappush(heap, (pair_sugar, l, (a, b)))
@@ -527,7 +540,7 @@ def buchberger(gens, codes, reps=None):
         if reps is None:
             s = _reduce(work, entries, full=False)
         else:
-            sa, sb = codes.decode(l - lts[a]), codes.decode(l - lts[b])
+            sa, sb = codes.decode(l - entries[a][0]), codes.decode(l - entries[b][0])
             rep = [x.mul_term(sa, one) - y.mul_term(sb, one) for x, y in zip(reps[a], reps[b])]
             s, rep = _divide(work, entries, rep, reps, full=False)
         if s:
@@ -588,7 +601,13 @@ def fglm(G, tau):
     _fraction_free_rows over QQ, and _packed_rows over F_p, whose vectors
     are ints with slots wide enough that none carries before its reduction
     mod p.  Each takes G and its sigma-codes.
+
+    Raises ValueError when G has infinitely many standard monomials, where
+    the walk would never end: when G lacks a pure power of some variable
+    and does not hold 1 (a positive-dimensional or zero ideal).
     """
+    if not is_zero_dimensional(G) and all(map(any, G.leading_terms())):
+        raise ValueError("fglm needs a zero-dimensional ideal: infinitely many standard monomials")
     ring = G[0].ring
     p = ring.domain.characteristic
     width = _width(G, G.ordering, tau)
@@ -781,6 +800,8 @@ def min_lt(G):
 
 def s_polynomial(f, g, sigma):
     """S-polynomial of f and g (field coefficients)."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("the zero polynomial has no leading term")
     p = f.ring.domain.characteristic
     codes = _codes(sigma, [f, g])
     ra, rb = _coded(f, 0, codes), _coded(g, 0, codes)
@@ -796,17 +817,17 @@ def is_groebner(basis, sigma):
         basis = [g for g in basis if not g.is_zero()]
     codes = _codes(sigma, basis)
     entries = _reducers(basis, sigma, codes)
-    lts, exps, pairs = [], [], {}
+    lms, exps, pairs = [], [], {}
     for j, e in enumerate(entries):
-        lts.append(e[0])
+        lms.append((e[0], 1))
         exps.append(codes.decode(e[0]))
-        pairs.update(_gm_update(lts, exps, pairs, j, codes))
+        pairs.update(_gm_update(lms, exps, pairs, j, codes))
     if not pairs:
         return True
     p = basis[0].ring.domain.characteristic
     return not any(
         _reduce(_s_work(entries[a], entries[b], l, codes, p), entries, full=False)
-        for (a, b), l in pairs.items()
+        for (a, b), (l, _) in pairs.items()
     )
 
 

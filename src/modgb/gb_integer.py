@@ -3,39 +3,26 @@
 Completion uses both S-polynomials (cancelling leading monomials through the
 lcm of the leading terms and of the leading coefficients) and GCD-polynomials
 (combining two elements to realize the gcd of their leading coefficients).
-A leading monomial is c*x^a with c > 0.  The lcm of two is
-lcm(c, c')*x^max(a, a'), and one divides another when its coefficient and
-its term both do.
-
-S-pairs are pruned by Gebauer and Moeller's update ("On an installation of
-Buchberger's algorithm", JSC 1988), run when element k is appended.  With
-L_ij the lcm of the leading monomials lm_i and lm_j:
-
-- B: a queued S-pair (i, j) is dropped when lm_k divides L_ij and
-  L_ij differs from both L_ik and L_jk;
-- M: a new S-pair (i, k) is dropped when another new pair's lcm properly
-  divides L_ik;
-- F: of the new S-pairs left with one lcm, one is queued, and none when
-  one of them meets the product criterion (coprime terms and coprime
-  coefficients, so that L_ik = lm_i * lm_k).
-
-A GCD-pair is skipped when some element's leading monomial already divides
+A leading monomial is c*x^a with c > 0.  S-pairs are pruned by
+gb_field._gm_update, Gebauer and Moeller's criteria B, M and F on leading
+monomials (code, c), which the field engine calls with every c = 1.  A
+GCD-pair is skipped when some element's leading monomial already divides
 gcd(lc_i, lc_j) * lcm(lt_i, lt_j).
 
-Why the field criteria hold over ZZ (Lichtblau, "Effective computation of
+Why the criteria hold over ZZ (Lichtblau, "Effective computation of
 strong Groebner bases over Euclidean domains", Illinois J. Math. 2012).  A
 basis whose GCD-pairs are done is strong once the S-polynomial of each
 syzygy in a generating set of the syzygies of lm_1, ..., lm_k has a standard
-representation.  Over ZZ, as over a field, the syzygies of the monomials
-c_i*x^(a_i) are generated by the pairwise S-syzygies
-S_ij = (L_ij/lm_i) e_i - (L_ij/lm_j) e_j: in each multidegree they are the
-integer relations among the c_i, which the pairwise ones generate.  If lm_k
-divides L_ij, then L_ik and L_jk divide L_ij and
-S_ij = (L_ij/L_ik) S_ik - (L_ij/L_jk) S_jk, a combination with monomial
-coefficients.  A pair whose leading monomials are coprime has S-polynomial
-tail_k*f_i - tail_i*f_k, a standard representation.  Gebauer and Moeller's
-proof that B, M and F keep a generating set uses only these two facts and
-the lattice of lcms, so it holds as written.
+representation.  With L_ij the lcm of lm_i and lm_j: over ZZ, as over a
+field, the syzygies of the monomials c_i*x^(a_i) are generated by the
+pairwise S-syzygies S_ij = (L_ij/lm_i) e_i - (L_ij/lm_j) e_j, since in each
+multidegree they are the integer relations among the c_i, which the
+pairwise ones generate.  If lm_k divides L_ij, then L_ik and L_jk divide
+L_ij and S_ij = (L_ij/L_ik) S_ik - (L_ij/L_jk) S_jk, a combination with
+monomial coefficients.  A pair whose leading monomials are coprime has
+S-polynomial tail_k*f_i - tail_i*f_k, a standard representation.  Gebauer
+and Moeller's proof that B, M and F keep a generating set uses only these
+two facts and the lattice of lcms, so it holds as written.
 
 Reduction runs in place on gb_field's heap-ordered work polynomial, over
 the sigma-codes of gb_field: strong_gb encodes its generators on entry and
@@ -53,7 +40,7 @@ import math
 
 from .arith import _ext_gcd
 from .arith import lcm as int_lcm
-from .gb_field import _ACTIVE, _Basis, _codes, _Work
+from .gb_field import _ACTIVE, _Basis, _codes, _gm_update, _Work
 from .poly import Polynomial, ZZ, leading
 
 
@@ -146,6 +133,7 @@ def strong_gb(gens, sigma):
     codes = _codes(sigma, todo)
     guard, lcm = codes.guard, codes.lcm
     basis = []  # entries (encoded terms, lt, lc) with lc > 0
+    lms, exps = [], []  # each entry's (lt, lc) and the exponents of lt
     heap = []  # (pp-lcm, kind, i, j); kind 0 = S-pair, 1 = GCD-pair
     queued = {}  # the S-pairs still on the heap: (i, j) -> their lcm (l, c)
 
@@ -155,29 +143,15 @@ def strong_gb(gens, sigma):
             terms = {t: -c for t, c in terms.items()}
         lc = terms[lt]
         k = len(basis)
-        # the lcm of each new S-pair (i, k), and the pairs of each lcm
-        lcms = [(lcm(lti, lt), math.lcm(lci, lc)) for _, lti, lci in basis]
-        groups = {}
-        for i, m in enumerate(lcms):
-            groups.setdefault(m, []).append(i)
-        for (i, j), (l, c) in list(queued.items()):  # criterion B
-            if c % lc == 0 and (l | guard) - lt & guard == guard and lcms[i] != (l, c) != lcms[j]:
-                del queued[i, j]
-        for (l, c), pairs in groups.items():
-            lg = l | guard
-            if any(  # criterion M: another new lcm properly divides this one
-                c % c2 == 0 and lg - l2 & guard == guard and (l2, c2) != (l, c)
-                for l2, c2 in groups
-            ) or any(  # criterion F: the product criterion holds for one pair
-                l == basis[i][1] + lt and c == basis[i][2] * lc for i in pairs
-            ):
-                continue
-            heapq.heappush(heap, (l, 0, pairs[0], k))
-            queued[pairs[0], k] = (l, c)
+        lms.append((lt, lc))
+        exps.append(codes.decode(lt))
+        for (i, _), m in _gm_update(lms, exps, queued, k, codes):
+            heapq.heappush(heap, (m[0], 0, i, k))
+            queued[i, k] = m
         for i, (_, lti, lci) in enumerate(basis):
             d = math.gcd(lci, lc)
             if d != lci and d != lc:
-                heapq.heappush(heap, (lcms[i][0], 1, i, k))
+                heapq.heappush(heap, (lcm(lti, lt), 1, i, k))
         basis.append((list(terms.items()), lt, lc))
 
     for g in todo:

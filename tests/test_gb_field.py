@@ -1,10 +1,14 @@
 """Buchberger engine over fields: normal forms, reduced bases, representation."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import modgb
 from conftest import (
     graph_ideal_six_vars,
     many_bad_primes_ideal,
@@ -92,6 +96,23 @@ def test_normal_form_against_no_basis_is_the_polynomial():
     x, y = R.gens()
     f = x * y + y.scale(Fraction(1, 3))
     assert normal_form(f, [], degrevlex(2)) is f
+
+
+def test_normal_form_drops_zero_divisors():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    s = degrevlex(2)
+    f = x * y + x
+    assert normal_form(f, [R.zero(), y], s) == normal_form(f, [y], s) == x
+    assert normal_form(f, [R.zero()], s) is f
+
+
+def test_s_polynomial_of_zero_raises():
+    R = ring_qq("x", "y")
+    x, y = R.gens()
+    for f, g in ((R.zero(), y), (x, R.zero())):
+        with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+            s_polynomial(f, g, degrevlex(2))
 
 
 def test_normal_form_properties():
@@ -533,6 +554,43 @@ def test_fglm_of_the_unit_ideal():
     assert list(G) == [R.one()] and not is_zero_dimensional(G)
     assert list(I.reduced_gb(lex(2))) == [R.one()]
     assert list(fglm(G, lex(2))) == [R.one()]
+
+
+FGLM_INFINITE = """
+import time
+from modgb import GF, Ideal, PolyRing, QQ, ReducedGB, budget, fglm
+from modgb.orderings import degrevlex, lex
+
+s = degrevlex(2)
+for ring in (PolyRing(QQ, ["x", "y"]), PolyRing(GF(7), ["x", "y"])):
+    x, y = ring.gens()
+    for G in (Ideal(ring, [x * y]).reduced_gb(s), Ideal(ring, [y]).reduced_gb(s), ReducedGB(s, [])):
+        for steps in (None, 1000):
+            t0 = time.monotonic()
+            try:
+                if steps is None:
+                    fglm(G, lex(2))
+                else:
+                    with budget(steps):
+                        fglm(G, lex(2))
+            except ValueError as e:
+                assert time.monotonic() - t0 < 1.0
+                print(e)
+"""
+
+
+def test_fglm_rejects_infinitely_many_standard_monomials():
+    # standard monomials spend no budget step, so a walk over infinitely many
+    # would never end; it runs in a child process, so a hang fails the test
+    # instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modgb.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", FGLM_INFINITE], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.count("fglm needs a zero-dimensional ideal") == 12, proc.stdout
 
 
 @pytest.mark.parametrize(

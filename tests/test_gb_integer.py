@@ -43,6 +43,17 @@ def test_mixed_coefficient_pair_needs_gcd_element():
     assert leading_monomial_set(B) == {((1, 0), 2), ((0, 1), 3), ((1, 1), 1)}
 
 
+@pytest.mark.parametrize("order", [lex, degrevlex])
+def test_product_criterion_needs_coprime_coefficients(order):
+    # the terms x and y are coprime but the coefficients 2 and 2 are not, so
+    # criterion F keeps the S-pair: y*(2x + 1) - x*(2y) = y.  A product
+    # criterion blind to coefficients would drop it and return {2x + 1, 2y}.
+    Z = ring_zz("x", "y")
+    x, y = Z.gens()
+    B = strong_gb([x.scale(2) + Z.one(), y.scale(2)], order(2))
+    assert leading_monomial_set(B) == {((0, 1), 1), ((1, 0), 2)}
+
+
 def test_fractional_linear_pair():
     # prim of {y - 1/3, x - 1/6} is {3y - 1, 6x - 1}
     R = ring_qq("x", "y")
