@@ -1,5 +1,6 @@
 """Modular basis pipeline: runs, filtering, lifting, verification."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from conftest import (
 from modgb import GF, ZZ, Ideal, PolyRing, buchberger_reduced, detect_tau_bad, modular_gb
 from modgb import Polynomial, parse_input
 from modgb import pipeline
+from modgb.arith import rational_reconstruct
 from modgb.gb_field import is_groebner, is_zero_dimensional
 from modgb.orderings import degrevlex, lex
 from modgb.pipeline import (
@@ -80,6 +82,25 @@ def test_lift_and_reconstruct_small():
     assert sorted(candidate, key=lambda g: t.key(leading(g, t)[0])) == list(
         buchberger_reduced(I.gens, t)
     )
+
+
+def test_reconstruct_all_agrees_with_rational_reconstruct():
+    # the shared-denominator shortcut returns what rational_reconstruct does
+    rng = random.Random(3)
+    for _ in range(2000):
+        m = rng.choice([3 ** rng.randint(1, 40), 5 ** rng.randint(1, 30), 3 * 5 * 7 * 11, 45])
+        den = rng.choice([1, 2, 4, 7, rng.randint(1, 10**6)])
+        residues = []
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.randint(-(10**8), 10**8), den * rng.choice([1, 1, 2, 3])
+            if rng.random() < 0.5 and math.gcd(b, m) == 1:
+                residues.append(a * pow(b, -1, m) % m)
+            else:
+                residues.append(rng.randrange(m))
+        expected = [rational_reconstruct(r, m) for r in residues]
+        if None in expected:
+            expected = None
+        assert pipeline._reconstruct_all(residues, m) == expected
 
 
 def test_single_prime_is_not_enough():
@@ -321,11 +342,128 @@ def test_modular_gb_rejects_sigma_bad_primes_with_their_denominators():
     assert ledger == [(37, SIGMA_BAD, 1517), (41, SIGMA_BAD, 41)]
 
 
-def test_modular_gb_many_bad_primes_lex_time_bound():
-    # per-prime lex bases come by FGLM from the reduced sigma-basis mod p;
-    # by Buchberger over F_p this took about 3 s
+def recorded_states(monkeypatch):
+    """The LiftStates that modular_gb absorbs into, in order of first use."""
+    states = []
+    absorb = LiftState.absorb
+
+    def recording(self, basis):
+        if self not in states:
+            states.append(self)
+        absorb(self, basis)
+
+    monkeypatch.setattr(LiftState, "absorb", recording)
+    return states
+
+
+# many-bad-primes and the benchmark's pool of family members
+FAMILY_TEXTS = [
+    "ring QQ[x,y,z] lex;\nideal(x^2*y + 7*x*y^2 - 2, y^3 + x^2*z, z^3 + x^2 - y);\n",
+    "ring QQ[x,y,z] lex;\nideal(x^2*y + 8*x*y^2 - 2, y^3 + x^2*z, z^3 + x^2 - y);\n",
+    "ring QQ[x,y,z] lex;\nideal(x^2*y + 7*x*y^2 - 1, y^3 + x^2*z, z^3 + x^2 - y);\n",
+    "ring QQ[x,y,z] lex;\nideal(x^2*y + 5*x*y^2 - 5, y^3 + x^2*z, z^3 + x^2 - y);\n",
+    "ring QQ[x,y,z] lex;\nideal(x^2*y + 6*x*y^2 - 4, y^3 + x^2*z, z^3 + x^2 - y);\n",
+    "ring QQ[x,y,z] lex;\nideal(x^2*y + 6*x*y^2 - 2, y^3 + x^2*z, z^3 + x^2 - y);\n",
+]
+
+
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        # shape position, but f = y^2 is never squarefree: no Newton prime
+        ("ring QQ[x,y] lex;\nideal(x, y^2);\n", True),
+        ("ring QQ[x,y] lex;\nideal(x^2 - 1, y^2 - 1);\n", False),
+        ("ring QQ[x,y] lex;\nideal(x^2 + y, y^2 - 1/3);\n", False),
+        ("ring QQ[x] lex;\nideal(x^3 - 2);\n", False),
+        ("ring QQ[x,y] lex;\nideal(1);\n", False),
+        (FAMILY_TEXTS[0].replace("lex", "degrevlex"), False),
+    ],
+)
+def test_modular_gb_keeps_the_table_route_without_a_newton_prime(text, shape, monkeypatch):
+    states = recorded_states(monkeypatch)
+    forbid(monkeypatch, "_expand_shape")
+    spec, ideals, _ = parse_input(text)
+    I, tau = ideals[0], spec.ordering
+    result = modular_gb(I, tau, rng=random.Random(7))
+    assert list(result.basis) == list(buchberger_reduced(I.gens, tau))
+    assert states and all(s.newton is None for s in states)
+    assert all((s.kronecker is not None) == shape for s in states)
+
+
+def test_shape_position_sweep_agrees_with_the_direct_basis():
+    rng = random.Random(29)
+    done = expanded = 0
+    while done < 30:
+        ring, I = rand_ideal(rng, maxvars=3, maxdeg=3)
+        t = lex(ring.n)
+        G = list(buchberger_reduced(I.gens, t))
+        if not pipeline._in_shape_position(LtTuple(t, [leading(g, t)[0] for g in G])):
+            continue
+        result = modular_gb(I, t, rng=random.Random(done))
+        assert list(result.basis) == G
+        # the Kronecker route alone, from the same primes
+        state = lifted(I, degrevlex(ring.n), t, result.used_primes)
+        if state.newton is not None:
+            assert pipeline._shape_candidate(state, ring) == G
+            expanded += 1
+        done += 1
+    # the others are not radical, like <x, y^2>
+    assert expanded >= 10
+
+
+@pytest.mark.parametrize("text", FAMILY_TEXTS)
+def test_modular_gb_lifts_shape_position_from_three_primes(text):
+    # the lex basis needs about 500 bits per coefficient (9 primes of 64
+    # bits); its Kronecker form needs about 30
+    spec, ideals, _ = parse_input(text)
+    I = ideals[0]
+    result = modular_gb(I, lex(3), rng=random.Random(7))
+    assert len(result.used_primes) == 3
+    assert list(result.basis) == list(buchberger_reduced(I.gens, lex(3)))
+
+
+def test_a_wrong_kronecker_coefficient_stops_the_lift_at_its_cap(monkeypatch):
+    levels, runs = [], []
+    mulmod, expand = pipeline._mulmod, pipeline._expand_shape
+    monkeypatch.setattr(
+        pipeline, "_mulmod", lambda a, b, f, m: levels.append(m) or mulmod(a, b, f, m)
+    )
+
+    def wrong(f, ks, p, seed, known, M):
+        ks = [k[:] for k in ks]
+        ks[0][0] += 1
+        levels.clear()
+        hs = expand(f, ks, p, seed, known, M)
+        # the cap 2H of _expand_shape, from f and the k_i alone
+        cf = math.lcm(*(c.denominator for c in f))
+        ck = math.lcm(*(c.denominator for k in ks for c in k))
+        F = [c * cf for c in f]
+        dF = [i * c for i, c in enumerate(F)][1:]
+        H = sum(c * c for c in dF) ** (len(dF)) * sum(c * c for c in F) ** (len(dF) - 1)
+        H *= max(max(sum((c * cf * ck) ** 2 for c in k) for k in ks), ck * ck)
+        runs.append((hs, p, max(levels), 2 * H))
+        return hs
+
+    monkeypatch.setattr(pipeline, "_expand_shape", wrong)
     R, I = many_bad_primes_ideal()
-    with timed(0.5):
+    t = lex(3)
+    with timed(1.0):
+        result = modular_gb(I, t, rng=random.Random(7))
+    assert list(result.basis) == list(buchberger_reduced(I.gens, t))
+    assert len(result.used_primes) > 3
+    assert runs
+    for hs, p, last, cap in runs:
+        assert hs is None
+        # the last precision is the first p^(2^j) at or past the cap
+        assert last >= cap and (last == p or math.isqrt(last) < cap)
+
+
+def test_modular_gb_many_bad_primes_lex_time_bound():
+    # per-prime lex bases come by FGLM from the reduced sigma-basis mod p
+    # (by Buchberger over F_p this took about 3 s), and three of them give
+    # the Kronecker form: 17-29 ms in ten runs (x86-64, Python 3.11)
+    R, I = many_bad_primes_ideal()
+    with timed(0.06):
         result = modular_gb(I, lex(3), rng=random.Random(7))
     assert len(result.used_primes) >= 3
 
@@ -381,6 +519,15 @@ KATSURA5 = (
     " 2*u0*u3 + 2*u1*u2 + 2*u1*u4 + 2*u2*u5 - u3,"
     " 2*u0*u4 + 2*u1*u3 + u2^2 + 2*u1*u5 - u4);\n"
 )
+
+
+def test_modular_gb_katsura5_from_at_most_five_primes():
+    spec, ideals, _ = parse_input(KATSURA5)
+    I, t = ideals[0], spec.ordering
+    result = modular_gb(I, t, rng=random.Random(1))
+    assert len(result.used_primes) <= 5
+    # the direct route, on an ideal without the pipeline's cached bases
+    assert list(result.basis) == list(parse_input(KATSURA5)[1][0].reduced_gb(t))
 
 
 def test_katsura5_verification_is_timed():
