@@ -13,7 +13,6 @@ reduction mod p raised BadPrimeForInput, primes.tau_bad_verdict otherwise.
 import math
 import random
 import time
-from fractions import Fraction
 from operator import add, sub
 
 from .arith import crt_pair, random_prime, rational_reconstruct, unused_prime
@@ -36,12 +35,10 @@ class LiftState:
     The state then also lifts the Kronecker form of the basis, f and the
     k_i = h_i*f' mod f, in `kronecker`, whose coefficients are far smaller
     than those of the h_i (Dahan and Schost, "Sharp estimates for triangular
-    sets", ISSAC 2004).  `newton` holds the first prime at which f mod p is
-    squarefree, with f'^-1 mod f over F_p: the seed of the expansion back to
-    the h_i.
+    sets", ISSAC 2004).
     """
 
-    __slots__ = ("lt_tuple", "modulus", "table", "primes", "kronecker", "newton")
+    __slots__ = ("lt_tuple", "modulus", "table", "primes", "kronecker")
 
     def __init__(self, lt_tuple):
         self.lt_tuple = lt_tuple
@@ -50,7 +47,6 @@ class LiftState:
         self.primes = []
         # f without its leading 1, then each k_i, low degree first, in basis order
         self.kronecker = [] if _in_shape_position(lt_tuple) else None
-        self.newton = None  # (p, f'^-1 mod (f, p))
 
     def absorb(self, basis):
         """Lift one more reduced tau-basis over F_p into the table, and into
@@ -74,10 +70,6 @@ class LiftState:
             form = f[:-1]
             for g in basis[1:]:
                 form += _mulmod([-g.terms.get(t, 0) % p for t in pows], df, f, p)
-            if self.newton is None:
-                inverse = _invmod(df, f, p)
-                if inverse is not None:
-                    self.newton = (p, inverse)
             if m == 1:
                 self.kronecker = form
             else:
@@ -151,17 +143,18 @@ def lift_and_reconstruct(state, names):
     or None when some coefficient needs more primes.
 
     The basis table is reconstructed first.  When that fails and the state
-    has a Newton prime, f and the k_i of the Kronecker form are
-    reconstructed instead, and _expand_shape turns them into the h_i of the
-    lex basis {f, x_i - h_i}.  In that order no attempt loses the candidate
-    the table alone would give, so no input needs more primes than without
-    the Kronecker form; a premature reconstruction of the small f and k_i
-    (with tiny primes) costs only one rejected candidate.
+    lifts the Kronecker form and has a Newton prime (see _newton_seed), f
+    and the k_i of the form are reconstructed instead, and _expand_shape
+    turns them into the h_i of the lex basis {f, x_i - h_i}.  In that order
+    no attempt loses the candidate the table alone would give, so no input
+    needs more primes than without the Kronecker form; a premature
+    reconstruction of the small f and k_i (with tiny primes) costs only one
+    rejected candidate.
     """
     ring = PolyRing(QQ, names)
     values = _reconstruct_all(state.table.values(), state.modulus)
     if values is None:
-        return _shape_candidate(state, ring) if state.newton is not None else None
+        return _shape_candidate(state, ring) if state.kronecker is not None else None
     terms = [[] for _ in state.lt_tuple]
     for (i, pp), c in zip(state.table, values):
         terms[i].append((pp, c))
@@ -170,6 +163,9 @@ def lift_and_reconstruct(state, names):
 
 def _shape_candidate(state, ring):
     """The lex basis {f, x_i - h_i} from the lifted Kronecker form, or None."""
+    seed = _newton_seed(state)
+    if seed is None:
+        return None
     M = state.modulus
     form = _reconstruct_all(state.kronecker, M)
     if form is None:
@@ -179,7 +175,7 @@ def _shape_candidate(state, ring):
     f, ks = form[:D] + [1], [form[i : i + D] for i in range(D, len(form), D)]
     pows = [lts[0][:-1] + (t,) for t in range(D + 1)]
     known = [[-state.table.get((i, t), 0) % M for t in pows[:D]] for i in range(1, len(lts))]
-    hs = _expand_shape(f, ks, *state.newton, known, M)
+    hs = _expand_shape(f, ks, *seed, known, M)
     if hs is None:
         return None
     basis = [ring.from_terms(zip(pows, f))]
@@ -188,29 +184,26 @@ def _shape_candidate(state, ring):
     return basis
 
 
+def _newton_seed(state):
+    """(p, f'^-1 mod (f, p)) for the first lifted prime p at which f mod p is
+    squarefree, the seed of the expansion back to the h_i, or None."""
+    D = state.lt_tuple.entries[0][-1]
+    for p in state.primes:
+        f = [c % p for c in state.kronecker[:D]] + [1]
+        inverse = _invmod([i * c % p for i, c in enumerate(f)][1:], f, p)
+        if inverse is not None:
+            return p, inverse
+    return None
+
+
 def _reconstruct_all(residues, m):
     """The rational reconstructions of the residues mod m, in order, or None
-    if one fails.
-
-    The coefficients of a basis mostly share their denominators, so each
-    residue r is first tried against the lcm d of the denominators found so
-    far: when d and the symmetric residue s of r*d mod m are both at most
-    sqrt(m/2), s/d is the only fraction within that bound congruent to r,
-    so the one rational_reconstruct returns (m is odd, so for two such
-    fractions a/b and a'/b', |ab' - a'b| < m)."""
-    bound = math.isqrt(m // 2)
-    d, values = 1, []
+    if one fails."""
+    values = []
     for r in residues:
-        s = r * d % m
-        if s > bound:
-            s -= m
-        if -s <= bound and d <= bound:
-            values.append(Fraction(s, d))
-            continue
         c = rational_reconstruct(r, m)
         if c is None:
             return None
-        d = math.lcm(d, c.denominator)
         values.append(c)
     return values
 
@@ -224,9 +217,9 @@ def _expand_shape(f, ks, p, seed, known, M):
     lcm c_k of theirs to K_i; then h_i = (c/c_k)*K_i*G mod f with
     G = F'^-1 mod f.  Newton's step G <- G*(2 - F'*G) mod f takes G from
     precision q = p^e to q^2; as 1 - F'*G = q*r, its one product of two
-    large operands, G*r, is taken mod q.  At each precision the h_i are rationally reconstructed, and the first
-    reconstruction that agrees with known mod M is returned: one that is
-    premature agrees only by chance.
+    large operands, G*r, is taken mod q.  At each precision the h_i are
+    rationally reconstructed, and the first reconstruction that agrees with
+    known mod M is returned: one that is premature agrees only by chance.
 
     On a correct f and k_i the lift is exact once p^e reaches the cap 2H:
     h solves F'*(c_k h) + F*(c_k u) = c*K_i, a square system of size
